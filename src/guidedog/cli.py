@@ -37,7 +37,7 @@ _CONFIG_KEYS = {
     "mesh": ("intervals", "order"),
     "solver": ("max_iterations", "kkt_tolerance"),
     "guidance": ("period", "cycles", "method"),
-    "mc": ("preset", "runs", "q", "beta", "seed", "methods", "workers"),
+    "mc": ("preset", "runs", "q", "beta", "seed", "methods"),
     "output": ("directory",),
 }
 
@@ -69,7 +69,6 @@ class CampaignConfig:
     beta: float = 5.0
     seed: int = 1234
     methods: Tuple[str, ...] = METHODS
-    workers: int = 1
     output_dir: str = "."
 
     def __post_init__(self):
@@ -93,8 +92,7 @@ class CampaignConfig:
                            cycle_duration=self.cycle_duration,
                            cycle_count=self.cycle_count)
             MonteCarloConfig(run_count=self.runs, q=self.q, beta=self.beta,
-                             seed=self.seed, methods=self.methods,
-                             workers=self.workers)
+                             seed=self.seed, methods=self.methods)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         normalized = tuple(str(m).upper() for m in self.methods)
@@ -143,11 +141,8 @@ def parse_config(path: str) -> CampaignConfig:
 
     preset = values.get(("mc", "preset"))
     preset = preset.strip() if preset is not None else None
-    if preset is not None and preset not in PRESETS:
-        raise ValidationError(
-            f"unknown preset {preset!r}; choose from "
-            f"{', '.join(sorted(PRESETS))}")
-    q_default, beta_default = PRESETS[preset] if preset else (0.01, 5.0)
+    # an unknown preset keeps the defaults; CampaignConfig rejects it
+    q_default, beta_default = PRESETS.get(preset, (0.01, 5.0))
 
     methods_raw = values.get(("mc", "methods"))
     if methods_raw is None:
@@ -172,7 +167,6 @@ def parse_config(path: str) -> CampaignConfig:
         beta=take("mc", "beta", float, beta_default),
         seed=take("mc", "seed", int, 1234),
         methods=methods,
-        workers=take("mc", "workers", int, 1),
         output_dir=take("output", "directory", str, "."),
     )
 
@@ -217,7 +211,7 @@ def _load(args) -> CampaignConfig:
     overrides = {}
     for flag, field in (("preset", "preset"), ("beta", "beta"), ("q", "q"),
                         ("runs", "runs"), ("seed", "seed"),
-                        ("workers", "workers"), ("method", "method"),
+                        ("method", "method"),
                         ("output", "output_dir"),
                         ("mesh_intervals", "mesh_intervals"),
                         ("mesh_order", "mesh_order")):
@@ -225,21 +219,16 @@ def _load(args) -> CampaignConfig:
         if value is not None:
             overrides[field] = value
     if "preset" in overrides:
-        name = overrides["preset"]
-        if name not in PRESETS:
-            raise ValidationError(
-                f"unknown preset {name!r}; choose from "
-                f"{', '.join(sorted(PRESETS))}")
-        # a preset pins q and beta unless the flags override them too
-        preset_q, preset_beta = PRESETS[name]
+        # a preset pins q and beta unless the flags override them too;
+        # an unknown one is rejected by CampaignConfig below
+        preset_q, preset_beta = PRESETS.get(overrides["preset"],
+                                            (cfg.q, cfg.beta))
         if getattr(args, "q", None) is None:
             overrides["q"] = preset_q
         if getattr(args, "beta", None) is None:
             overrides["beta"] = preset_beta
     try:
         return replace(cfg, **overrides)
-    except ValidationError:
-        raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -303,22 +292,12 @@ def _cmd_mission(args) -> int:
 
 def _cmd_campaign(args) -> int:
     cfg = _load(args)
-    workers = cfg.workers
-    env_workers = os.environ.get("GUIDEDOG_WORKERS")
-    if env_workers is not None:
-        try:
-            workers = int(env_workers)
-        except ValueError as exc:
-            raise ValidationError(
-                f"GUIDEDOG_WORKERS must be an integer, got {env_workers!r}"
-            ) from exc
     ocp, make_spec = example_problem(cfg.alpha)
     needs_spec = any(m in ("DOC", "DOG") for m in cfg.methods)
     spec = make_spec(cfg.beta, cfg.q) if needs_spec else None
     try:
         mc = MonteCarloConfig(run_count=cfg.runs, q=cfg.q, beta=cfg.beta,
-                              seed=cfg.seed, methods=cfg.methods,
-                              workers=workers)
+                              seed=cfg.seed, methods=cfg.methods)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     records = run_campaign(ocp, spec, mc,
@@ -399,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(campaign)
     campaign.add_argument("--runs", type=int, help="number of draws")
     campaign.add_argument("--seed", type=int, help="campaign seed")
-    campaign.add_argument("--workers", type=int, help="worker threads")
     campaign.set_defaults(handler=_cmd_campaign)
 
     presets = commands.add_parser("presets", help="list named cases")

@@ -43,7 +43,6 @@ __all__ = [
     "MissionResult",
     "cycle_bounds",
     "restart_conditions",
-    "remap_and_resolve",
     "solve_reference",
     "run_mission",
 ]
@@ -447,25 +446,6 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
             f"{sol.status}"
         )
     return extract_solution(nlp, sol.z, objective_value=sol.objective), sol
-
-
-def remap_and_resolve(ocp: OcpDefinition, spec, x0, s0, t_start: float,
-                      tf: float, guidance_cfg: GuidanceConfig,
-                      warm_start: Trajectory) -> Trajectory:
-    """Delete the expired horizon and re-solve on [t_start, tf].
-
-    The fresh mesh keeps the reference mesh's fractions and orders,
-    mapped onto the remaining horizon; x(t_start) is pinned to ``x0``
-    (and S(t_start) to ``s0`` for desensitized methods) while the
-    original terminal condition stays in force.
-    """
-    if not t_start < tf:
-        raise ValueError(f"need t_start < tf, got [{t_start}, {tf}]")
-    base_mesh = (guidance_cfg.mesh if guidance_cfg.mesh is not None
-                 else example_mesh(*ocp.time_domain))
-    traj, _ = _resolve_cycle(ocp, spec, guidance_cfg, base_mesh, x0, s0,
-                             t_start, tf, warm_start)
-    return traj
 
 
 def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,

@@ -1,7 +1,7 @@
 """Legendre-Gauss-Radau (LGR) collocation primitives.
 
 Nodes, quadrature weights, differentiation matrices and barycentric
-Lagrange interpolation on the canonical interval [-1, +1).  The LGR
+interpolation weights on the canonical interval [-1, +1).  The LGR
 points of order n are the n roots of P_{n-1} + P_n; they include the
 left endpoint -1 and exclude +1.  State polynomials are supported on
 the nodes plus the noncollocated endpoint +1, so the differentiation
@@ -15,14 +15,11 @@ import numpy as np
 
 __all__ = [
     "LgrBasisSet",
-    "Interpolant",
     "legendre_eval",
     "lgr_nodes",
     "lgr_weights",
     "differentiation_matrix",
     "barycentric_weights",
-    "make_interpolant",
-    "interp_eval",
     "basis",
 ]
 
@@ -183,55 +180,3 @@ def basis(n: int) -> LgrBasisSet:
     )
     _BASIS_CACHE[n] = made
     return made
-
-
-@dataclass(frozen=True)
-class Interpolant:
-    """Polynomial interpolant in barycentric form.
-
-    ``domain`` is the interval on which evaluation is allowed.  It
-    defaults to the support hull; control interpolants widen it to the
-    mesh interval because the LGR control supports stop short of +1.
-    """
-
-    nodes: np.ndarray
-    barycentric_weights: np.ndarray
-    values: np.ndarray           # (M,) or (M, d)
-    domain: tuple[float, float]
-
-
-def make_interpolant(nodes, values, domain=None, bary=None) -> Interpolant:
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if nodes.ndim != 1:
-        raise ValueError("interpolation nodes must be one-dimensional")
-    if values.shape[0] != nodes.size:
-        raise ValueError(
-            f"got {values.shape[0]} values for {nodes.size} nodes"
-        )
-    if bary is None:
-        bary = barycentric_weights(nodes)
-    if domain is None:
-        domain = (float(np.min(nodes)), float(np.max(nodes)))
-    return Interpolant(nodes, bary, values, (float(domain[0]), float(domain[1])))
-
-
-def interp_eval(interp: Interpolant, tau: float):
-    """Evaluate a barycentric interpolant at a point inside its domain.
-
-    Exact at the support nodes (returns the stored sample); raises on
-    extrapolation beyond the domain (with a 1e-12 slack) because the
-    guidance loop must never extrapolate a previous solution.
-    """
-    lo, hi = interp.domain
-    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if tau < lo - slack or tau > hi + slack:
-        raise ValueError(
-            f"evaluation point {tau} outside interpolation domain [{lo}, {hi}]"
-        )
-    delta = tau - interp.nodes
-    hit = np.nonzero(delta == 0.0)[0]
-    if hit.size:
-        return np.array(interp.values[hit[0]], copy=True)
-    coef = interp.barycentric_weights / delta
-    return coef @ interp.values / np.sum(coef)

@@ -8,9 +8,10 @@ confounded by sampling noise.
 
 Each run's draw comes from its own counter-based ``Philox`` stream
 keyed by ``(seed, run_index)``.  The sequence therefore depends only on
-the seed and the run index — not on how many runs precede it, which
-methods are requested, or how work is spread over a thread pool — and
-any prefix of a longer campaign reproduces the shorter one exactly.
+the seed and the run index — not on how many runs precede it or which
+methods are requested — and any prefix of a longer campaign reproduces
+the shorter one exactly.  Runs are flown one after another in this
+process.
 
 Reference solves are shared: one plain solve covers OC and OG, one
 sensitivity-augmented solve covers DOC and DOG.  Individual mission
@@ -18,7 +19,6 @@ failures are recorded on their records and the campaign continues.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,7 +89,6 @@ class MonteCarloConfig:
     beta: float = 5.0
     seed: int = 1234
     methods: Tuple[str, ...] = METHODS
-    workers: int = 1
 
     def __post_init__(self):
         if self.run_count < 1:
@@ -100,8 +99,6 @@ class MonteCarloConfig:
             raise ValueError("beta must be nonnegative")
         if not 0 <= int(self.seed) < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:
             raise ValueError("at least one method is required")
@@ -229,12 +226,7 @@ def run_campaign(ocp: OcpDefinition, spec, cfg: MonteCarloConfig,
                 iterations=int(sum(mission.iterations[1:]))))
         return rows
 
-    if cfg.workers == 1:
-        per_run = [one_run(i) for i in range(cfg.run_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_run = list(pool.map(one_run, range(cfg.run_count)))
-    return [record for rows in per_run for record in rows]
+    return [record for i in range(cfg.run_count) for record in one_run(i)]
 
 
 def summarize(records: Sequence[MonteCarloRecord]

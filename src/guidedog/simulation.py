@@ -15,9 +15,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .ocp import OcpDefinition
-from .trajectory import Trajectory, control_at
+from .trajectory import Trajectory
 
-__all__ = ["SimResult", "control_at", "integrate"]
+__all__ = ["SimResult", "integrate"]
 
 
 @dataclass
@@ -71,7 +71,7 @@ class SimResult:
 
 def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
               abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> SimResult:
-    """Propagate ``xdot = f(x, control_at(traj, t), p_tilde, t)`` over span.
+    """Propagate ``xdot = f(x, traj.control_at(t), p_tilde, t)`` over span.
 
     ``span = (t_start, t_end)`` must lie within the trajectory's time
     domain; a reversed span integrates backward.  Raises RuntimeError
@@ -96,7 +96,7 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
         )
 
     def rhs(t, x):
-        u = control_at(traj, t)
+        u = traj.control_at(t)
         return np.atleast_1d(np.asarray(
             ocp.dynamics(x, u, params, t), dtype=float))
 
@@ -127,6 +127,6 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
 
     t_grid = np.concatenate(times)
     x_grid = np.vstack(states)
-    u_grid = np.stack([control_at(traj, t) for t in t_grid])
+    u_grid = np.stack([traj.control_at(t) for t in t_grid])
     return SimResult(t_start=t_start, t_end=t_end, times=t_grid,
                      states=x_grid, controls=u_grid, _segments=segments)

@@ -33,8 +33,6 @@ __all__ = [
     "SolverOptions",
     "IterationRecord",
     "NlpSolution",
-    "constraint_jacobian",
-    "objective_gradient",
     "kkt_residual",
     "constraint_violation",
     "estimate_multipliers",
@@ -66,7 +64,6 @@ class SolverOptions:
 
     kkt_tolerance: float = 1e-8
     max_iterations: int = 200
-    hessian_mode: str = "quasi-newton"   # or "gauss-newton"
     line_search: LineSearchOptions = field(default_factory=LineSearchOptions)
 
     def __post_init__(self):
@@ -74,11 +71,6 @@ class SolverOptions:
             raise ValueError("kkt_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.hessian_mode not in ("quasi-newton", "gauss-newton"):
-            raise ValueError(
-                f"unknown hessian_mode {self.hessian_mode!r}; "
-                "expected 'quasi-newton' or 'gauss-newton'"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,63 +120,18 @@ def constraint_violation(nlp: NlpProblem, c: np.ndarray) -> float:
     return float(np.max(np.maximum(over, under)))
 
 
-def constraint_jacobian(nlp: NlpProblem, z: np.ndarray,
-                        c0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense constraint Jacobian.
-
-    Uses the problem's analytic hook when present, otherwise forward
-    differences with step 1e-7 (1 + |z_i|), sharing constraint
-    evaluations across variables whose row footprints are disjoint.
-    """
-    if nlp.jacobian is not None:
-        return np.asarray(nlp.jacobian(z), dtype=float)
-    if c0 is None:
-        c0 = nlp.constraints(z)
-    m = c0.size
-    J = np.zeros((m, nlp.n_vars))
-    steps = 1e-7 * (1.0 + np.abs(z))
-    if nlp.fd_groups is not None and nlp.var_footprints is not None:
-        for group in nlp.fd_groups:
-            zp = z.copy()
-            zp[group] += steps[group]
-            diff = nlp.constraints(zp) - c0
-            for i in group:
-                rows = nlp.var_footprints[i]
-                J[rows, i] = diff[rows] / steps[i]
-    else:
-        for i in range(nlp.n_vars):
-            zp = z.copy()
-            zp[i] += steps[i]
-            J[:, i] = (nlp.constraints(zp) - c0) / steps[i]
-    return J
-
-
-def objective_gradient(nlp: NlpProblem, z: np.ndarray) -> np.ndarray:
-    """Objective gradient: analytic hook or central differences."""
-    if nlp.gradient is not None:
-        return np.asarray(nlp.gradient(z), dtype=float)
-    g = np.empty(nlp.n_vars)
-    for i in range(nlp.n_vars):
-        h = 1e-6 * (1.0 + abs(z[i]))
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (nlp.objective(zp) - nlp.objective(zm)) / (2.0 * h)
-    return g
-
-
 def kkt_residual(nlp: NlpProblem, point: np.ndarray,
                  multipliers: np.ndarray) -> float:
     """Max-norm of stationarity and feasibility residuals at a point."""
     z = np.asarray(point, dtype=float)
     lam = np.asarray(multipliers, dtype=float)
-    g = objective_gradient(nlp, z)
+    g = nlp.gradient(z)
     c = nlp.constraints(z)
     if lam.size != c.size:
         raise ValueError(
             f"got {lam.size} multipliers for {c.size} constraints"
         )
-    stat = g + constraint_jacobian(nlp, z, c).T @ lam if c.size else g
+    stat = g + nlp.jacobian(z).T @ lam if c.size else g
     return max(float(np.max(np.abs(stat))), constraint_violation(nlp, c))
 
 
@@ -199,8 +146,8 @@ def estimate_multipliers(nlp: NlpProblem, point: np.ndarray,
     """
     z = np.asarray(point, dtype=float)
     c = np.asarray(nlp.constraints(z), dtype=float)
-    J = constraint_jacobian(nlp, z, c)
-    g = objective_gradient(nlp, z)
+    J = nlp.jacobian(z)
+    g = nlp.gradient(z)
     return _least_squares_multipliers(g, J, nlp.lower == nlp.upper,
                                       nlp.lower, nlp.upper, c,
                                       active_tolerance)
@@ -431,7 +378,7 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
     m = nlp.n_constraints
     is_equality = nlp.lower == nlp.upper
 
-    if hessian0 is not None and opts.hessian_mode == "quasi-newton":
+    if hessian0 is not None:
         B = np.asarray(hessian0, dtype=float).copy()
         if B.shape != (n, n):
             raise ValueError(f"hessian0 has shape {B.shape}, expected {(n, n)}")
@@ -447,9 +394,9 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
     eps = np.finfo(float).eps
 
     f = float(nlp.objective(z))
-    g = objective_gradient(nlp, z)
+    g = nlp.gradient(z)
     c = nlp.constraints(z)
-    J = constraint_jacobian(nlp, z, c)
+    J = nlp.jacobian(z)
 
     lam = np.zeros(m)
     status = "max-iterations"
@@ -485,9 +432,6 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             lam = lam_check
             iterations = it
             break
-
-        if opts.hessian_mode == "gauss-newton":
-            B = 1e-2 * np.eye(n) + (J.T @ J if m else np.zeros((n, n)))
 
         # local phase: after a full step onto a nearly feasible point,
         # take Newton steps on the exact Lagrangian Hessian whenever its
@@ -568,15 +512,14 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             iterations = it
             break
 
-        g_new = objective_gradient(nlp, z_new)
-        J_new = constraint_jacobian(nlp, z_new, c_new)
-        if opts.hessian_mode == "quasi-newton":
-            s = z_new - z
-            if m:
-                y = (g_new + J_new.T @ lam_qp) - (g + J.T @ lam_qp)
-            else:
-                y = g_new - g
-            B = _damped_bfgs_update(B, s, y)
+        g_new = nlp.gradient(z_new)
+        J_new = nlp.jacobian(z_new)
+        s = z_new - z
+        if m:
+            y = (g_new + J_new.T @ lam_qp) - (g + J.T @ lam_qp)
+        else:
+            y = g_new - g
+        B = _damped_bfgs_update(B, s, y)
 
         z, f, g, c, J = z_new, f_new, g_new, c_new, J_new
         lam = lam_qp

@@ -18,7 +18,7 @@ import numpy as np
 
 from .lgr import basis
 
-__all__ = ["Trajectory", "control_at", "state_at", "sensitivity_at"]
+__all__ = ["Trajectory"]
 
 
 def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, tau: float):
@@ -117,17 +117,3 @@ class Trajectory:
     def terminal_state(self) -> np.ndarray:
         return self.state_values[-1][-1, : self.n_states].copy()
 
-
-def control_at(traj: Trajectory, t: float) -> np.ndarray:
-    """Interpolated control at time ``t`` (never extrapolates past the span)."""
-    return traj.control_at(t)
-
-
-def state_at(traj: Trajectory, t: float) -> np.ndarray:
-    """Interpolated physical state at time ``t``."""
-    return traj.state_at(t)
-
-
-def sensitivity_at(traj: Trajectory, t: float) -> np.ndarray:
-    """Interpolated n x m sensitivity matrix at time ``t``."""
-    return traj.sensitivity_at(t)

@@ -73,9 +73,8 @@ class Mesh:
     def n_intervals(self) -> int:
         return len(self.orders)
 
-    def interval_times(self, tf: Optional[float] = None) -> np.ndarray:
-        return map_tau_to_time(self.tau_boundaries, self.t0,
-                               self.tf if tf is None else tf)
+    def interval_times(self) -> np.ndarray:
+        return map_tau_to_time(self.tau_boundaries, self.t0, self.tf)
 
     def with_time_domain(self, t0: float, tf: float) -> "Mesh":
         """Same fractions and orders, compressed onto a new horizon."""
@@ -130,8 +129,8 @@ class Layout:
     """Decision-vector layout of a transcribed problem.
 
     Ordering: all state support points (point-major, state-dim-minor),
-    then all collocation controls, then optionally the free final time.
-    Interface support points are stored once and shared.
+    then all collocation controls.  Interface support points are stored
+    once and shared.
     """
 
     n_aug: int
@@ -141,24 +140,19 @@ class Layout:
     n_state_points: int          # P = sum N_k + 1
     n_colloc: int                # C = sum N_k = P - 1
     n_vars: int
-    tf_index: Optional[int] = None
 
     def split(self, z: np.ndarray):
         P, na, nu = self.n_state_points, self.n_aug, self.n_controls
         X = z[: P * na].reshape(P, na)
         U = z[P * na: P * na + self.n_colloc * nu].reshape(self.n_colloc, nu)
-        tf = z[self.tf_index] if self.tf_index is not None else None
-        return X, U, tf
+        return X, U
 
     def state_var_index(self, point: int, dim: int) -> int:
         return point * self.n_aug + dim
 
-    def control_var_index(self, point: int, dim: int) -> int:
-        return self.n_state_points * self.n_aug + point * self.n_controls + dim
 
-
-def pack_values(layout: Layout, states: np.ndarray, controls: np.ndarray,
-                tf: Optional[float] = None) -> np.ndarray:
+def pack_values(layout: Layout, states: np.ndarray,
+                controls: np.ndarray) -> np.ndarray:
     """Assemble a decision vector from stacked state/control samples."""
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -166,22 +160,16 @@ def pack_values(layout: Layout, states: np.ndarray, controls: np.ndarray,
         raise ValueError(f"state block has shape {states.shape}")
     if controls.shape != (layout.n_colloc, layout.n_controls):
         raise ValueError(f"control block has shape {controls.shape}")
-    parts = [states.ravel(), controls.ravel()]
-    if layout.tf_index is not None:
-        if tf is None:
-            raise ValueError("layout has a free final time; tf required")
-        parts.append(np.array([float(tf)]))
-    return np.concatenate(parts)
+    return np.concatenate([states.ravel(), controls.ravel()])
 
 
 @dataclass
 class NlpProblem:
     """Dense NLP: objective, bounded constraint vector, and metadata.
 
-    Rows with ``lower == upper`` are equalities.  ``var_footprints``
-    lists, per decision variable, the constraint rows it can touch;
-    ``fd_groups`` are variable groups with pairwise-disjoint footprints
-    so finite-difference Jacobian columns can share evaluations.
+    Rows with ``lower == upper`` are equalities.  ``gradient(z)`` and
+    ``jacobian(z)`` return the objective gradient and the dense
+    constraint Jacobian; the solver has no finite-difference fallback.
     ``lagrangian_hessian(z, multipliers)``, when present, returns the
     exact Hessian of objective + multipliers @ constraints; the solver
     takes Newton steps on it once the iterate is local (after a full
@@ -194,11 +182,9 @@ class NlpProblem:
     constraints: Callable
     lower: np.ndarray
     upper: np.ndarray
-    gradient: Optional[Callable] = None
-    jacobian: Optional[Callable] = None
+    gradient: Callable
+    jacobian: Callable
     lagrangian_hessian: Optional[Callable] = None
-    var_footprints: Optional[list] = None
-    fd_groups: Optional[list] = None
     layout: Optional[Layout] = None
     mesh: Optional[Mesh] = None
     source: Optional[object] = None      # OcpDefinition or AugmentedOcp
@@ -216,20 +202,20 @@ def _pin_indices(values: Optional[np.ndarray], n: int):
     return idx, values[idx]
 
 
-def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
+def transcribe(problem, mesh: Mesh) -> NlpProblem:
     """Transcribe an :class:`OcpDefinition` or :class:`AugmentedOcp`.
 
-    The mesh must match the problem's time domain.  With ``free_tf``
-    the final time becomes the last decision variable (smoke-tested
-    support; the shipped example fixes t_f).
+    The mesh must match the problem's (fixed) time domain.  The NLP
+    carries analytic-structure derivative hooks: the objective
+    gradient, the constraint Jacobian, and the Lagrangian Hessian.
     """
     source = problem
     ocp = problem.ocp if isinstance(problem, AugmentedOcp) else problem
     if not isinstance(ocp, OcpDefinition):
         raise TypeError(f"cannot transcribe {type(problem).__name__}")
     t0, tf = ocp.time_domain
-    if abs(mesh.t0 - t0) > 1e-9 * max(1.0, abs(t0)) or (
-            not free_tf and abs(mesh.tf - tf) > 1e-9 * max(1.0, abs(tf))):
+    if (abs(mesh.t0 - t0) > 1e-9 * max(1.0, abs(t0))
+            or abs(mesh.tf - tf) > 1e-9 * max(1.0, abs(tf))):
         raise ValueError(
             f"mesh time domain ({mesh.t0}, {mesh.tf}) does not match "
             f"problem domain ({t0}, {tf})"
@@ -241,11 +227,11 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
     offsets = np.concatenate(([0], np.cumsum(orders)))[:K]
     C = int(np.sum(orders))
     P = C + 1
-    n_vars = P * na + C * nu + (1 if free_tf else 0)
+    n_vars = P * na + C * nu
     layout = Layout(
         n_aug=na, n_controls=nu, orders=orders,
         state_offsets=offsets, n_state_points=P, n_colloc=C,
-        n_vars=n_vars, tf_index=n_vars - 1 if free_tf else None,
+        n_vars=n_vars,
     )
 
     bases = [basis(nk) for nk in orders]
@@ -263,16 +249,10 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
         a = offsets[k]
         diff_block[a:a + orders[k], a:a + orders[k] + 1] = bases[k].diff_matrix
 
-    def geometry(tf_val: float):
-        times = map_tau_to_time(tau_colloc, t0, tf_val)
-        bounds = map_tau_to_time(tb, t0, tf_val)
-        halves = 0.5 * np.diff(bounds)
-        w_scaled = np.concatenate([
-            halves[k] * bases[k].weights for k in range(K)
-        ])
-        return times, halves, w_scaled
-
-    static_geometry = geometry(tf)
+    times = map_tau_to_time(tau_colloc, t0, tf)
+    halves = 0.5 * np.diff(map_tau_to_time(tb, t0, tf))
+    h_point = np.repeat(halves, orders)
+    w_scaled = np.concatenate([halves[k] * bases[k].weights for k in range(K)])
 
     init_idx, init_vals = _pin_indices(ocp.initial_state, na)
     term_idx, term_vals = _pin_indices(ocp.terminal_state, na)
@@ -313,36 +293,30 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
         ])
 
     def constraints(z: np.ndarray) -> np.ndarray:
-        X, U, tf_val = layout.split(z)
-        times, halves, _ = static_geometry if tf_val is None else geometry(tf_val)
+        X, U = layout.split(z)
         F = eval_rates(X[:-1], U, times)
-        h_point = np.repeat(halves, orders)
         parts = [(diff_block @ X - h_point[:, None] * F).ravel()]
         parts.append(X[0, init_idx] - init_vals)
         parts.append(X[-1, term_idx] - term_vals)
         if n_bnd:
-            end_time = tf if tf_val is None else tf_val
             parts.append(np.atleast_1d(np.asarray(
-                ocp.boundary(X[0], t0, X[-1], end_time), dtype=float)))
+                ocp.boundary(X[0], t0, X[-1], tf), dtype=float)))
         if n_path:
             parts.append(eval_path(X[:-1], U, times).ravel())
         return np.concatenate(parts)
 
     def objective(z: np.ndarray) -> float:
-        X, U, tf_val = layout.split(z)
-        times, _, w_scaled = static_geometry if tf_val is None else geometry(tf_val)
+        X, U = layout.split(z)
         value = float(w_scaled @ eval_running(X[:-1], U, times))
         if ocp.terminal_cost is not None:
-            end_time = tf if tf_val is None else tf_val
-            value += float(ocp.terminal_cost(X[0], t0, X[-1], end_time))
+            value += float(ocp.terminal_cost(X[0], t0, X[-1], tf))
         return value
 
     def gradient(z: np.ndarray) -> np.ndarray:
         # Quadrature costs are separable across collocation points, so
         # the gradient needs one central difference per state/control
         # dimension, evaluated for all points at once.
-        X, U, _ = layout.split(z)
-        times, _, w_scaled = static_geometry
+        X, U = layout.split(z)
         g = np.zeros(layout.n_vars)
         Xc = X[:-1]
         gx = g[: P * na].reshape(P, na)
@@ -390,12 +364,10 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
         every point at once.  The differencing part of the defects is
         linear and drops out.
         """
-        X, U, _ = layout.split(z)
-        times, halves, w_scaled = static_geometry
-        h_point = np.repeat(halves, orders)
+        X, U = layout.split(z)
         lam = np.asarray(multipliers, dtype=float)
         lam_defect = lam[: C * na].reshape(C, na)
-        lam_path = lam[n_rows - C * n_path:].reshape(C, n_path) if n_path else None
+        lam_path = lam[path_rows].reshape(C, n_path) if n_path else None
 
         def point_scalar(V):
             Xc, Uc = V[:, :na], V[:, na:]
@@ -473,37 +445,27 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
             hess[np.ix_(idx, idx)] += block
         return hess
 
-    # --- constraint-row bookkeeping for FD grouping -----------------------
-    defect_rows = []
-    row = 0
-    for k in range(K):
-        count = orders[k] * na
-        defect_rows.append(np.arange(row, row + count))
-        row += count
+    # constraint rows: defects, initial pins, terminal pins, boundary, path
+    row = C * na
     init_rows = np.arange(row, row + init_idx.size)
     row += init_idx.size
     term_rows = np.arange(row, row + term_idx.size)
     row += term_idx.size
     bnd_rows = np.arange(row, row + n_bnd)
     row += n_bnd
-    path_rows = []
-    for k in range(K):
-        count = orders[k] * n_path
-        path_rows.append(np.arange(row, row + count))
-        row += count
-    n_rows = row
+    path_rows = np.arange(row, row + C * n_path)
+    n_rows = row + C * n_path
 
     lower = np.zeros(n_rows)
     upper = np.zeros(n_rows)
     if n_bnd:
         lower[bnd_rows] = ocp.boundary_lower
         upper[bnd_rows] = ocp.boundary_upper
-    for k in range(K):
-        if n_path:
-            lower[path_rows[k]] = np.tile(ocp.path_lower, orders[k])
-            upper[path_rows[k]] = np.tile(ocp.path_upper, orders[k])
+    if n_path:
+        lower[path_rows] = np.tile(ocp.path_lower, C)
+        upper[path_rows] = np.tile(ocp.path_upper, C)
 
-    # --- constraint Jacobian (fixed final time only) ----------------------
+    # --- constraint Jacobian ----------------------------------------------
     # The differencing part of the defects and the state pins are linear in
     # z, so those entries are assembled once into a template; each call
     # fills in only the dynamics, path, and boundary blocks.
@@ -520,9 +482,7 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
         jac_static[init_rows[j], d] = 1.0
     for j, d in enumerate(term_idx):
         jac_static[term_rows[j], (P - 1) * na + d] = 1.0
-    if n_path:
-        path_row_base = np.concatenate([path_rows[k][::n_path]
-                                        for k in range(K)])
+    path_row_base = path_rows[::n_path] if n_path else None
     jac_step = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
     def point_jacobians(fun, width, Xc, U, times):
@@ -577,9 +537,7 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
                 J[bnd_rows, point * na + d] = delta / (2.0 * h)
 
     def jacobian(z: np.ndarray) -> np.ndarray:
-        X, U, _ = layout.split(z)
-        times, halves, _ = static_geometry
-        h_point = np.repeat(halves, orders)
+        X, U = layout.split(z)
         Xc = X[:-1]
         J = jac_static.copy()
         q = np.arange(C)
@@ -602,86 +560,15 @@ def transcribe(problem, mesh: Mesh, free_tf: bool = False) -> NlpProblem:
             boundary_rows_jacobian(J, X)
         return J
 
-    def support_intervals(point: int):
-        return [k for k in range(K)
-                if offsets[k] <= point <= offsets[k] + orders[k]]
-
-    def colloc_intervals(point: int):
-        return [k for k in range(K)
-                if offsets[k] <= point < offsets[k] + orders[k]]
-
-    var_footprints: list = [None] * layout.n_vars
-    group_keys: list = [None] * layout.n_vars
-    bnd_counter = 0
-    for point in range(P):
-        owners = support_intervals(point)
-        for d in range(na):
-            i = layout.state_var_index(point, d)
-            rows = [defect_rows[k] for k in owners]
-            rows += [path_rows[k] for k in colloc_intervals(point) if n_path]
-            if point == 0:
-                hit = np.nonzero(init_idx == d)[0]
-                if hit.size:
-                    rows.append(init_rows[hit])
-            if point == P - 1:
-                hit = np.nonzero(term_idx == d)[0]
-                if hit.size:
-                    rows.append(term_rows[hit])
-            touches_bnd = n_bnd and point in (0, P - 1)
-            if touches_bnd:
-                rows.append(bnd_rows)
-                group_keys[i] = ("bnd", bnd_counter)
-                bnd_counter += 1
-            else:
-                group_keys[i] = ("blk", owners[0] % 2)
-            var_footprints[i] = np.concatenate(rows) if rows else np.array([], dtype=int)
-    for point in range(C):
-        owner = colloc_intervals(point)[0]
-        for d in range(nu):
-            i = layout.control_var_index(point, d)
-            rows = [defect_rows[owner]]
-            if n_path:
-                rows.append(path_rows[owner])
-            var_footprints[i] = np.concatenate(rows)
-            group_keys[i] = ("blk", owner % 2)
-    if free_tf:
-        var_footprints[layout.tf_index] = np.arange(n_rows)
-        group_keys[layout.tf_index] = ("bnd", bnd_counter)
-        bnd_counter += 1
-
-    # slot vars into groups: same key and disjoint interval homes share a
-    # finite-difference evaluation
-    slot_counters: dict = {}
-    groups: dict = {}
-    home = {}
-    for point in range(P):
-        owners = support_intervals(point)
-        for d in range(na):
-            home[layout.state_var_index(point, d)] = owners[0]
-    for point in range(C):
-        for d in range(nu):
-            home[layout.control_var_index(point, d)] = colloc_intervals(point)[0]
-    for i in range(layout.n_vars):
-        key = group_keys[i]
-        if key[0] == "bnd":
-            groups[key] = [i]
-            continue
-        slot = slot_counters.get((key, home[i]), 0)
-        slot_counters[(key, home[i])] = slot + 1
-        groups.setdefault((key, slot), []).append(i)
-    fd_groups = [np.array(members, dtype=int) for members in groups.values()]
-
     return NlpProblem(
         n_vars=layout.n_vars,
         objective=objective,
         constraints=constraints,
         lower=lower,
         upper=upper,
-        gradient=None if free_tf else gradient,
-        jacobian=None if free_tf else jacobian,
-        lagrangian_hessian=None if free_tf else lagrangian_hessian,
-        var_footprints=var_footprints,
-        fd_groups=fd_groups,
+        gradient=gradient,
+        jacobian=jacobian,
+        lagrangian_hessian=lagrangian_hessian,
         layout=layout,
         mesh=mesh,
         source=source,
@@ -697,10 +584,8 @@ def extract_solution(nlp: NlpProblem, z: np.ndarray,
     z = np.asarray(z, dtype=float)
     if z.size != layout.n_vars:
         raise ValueError(f"decision vector has {z.size} entries, expected {layout.n_vars}")
-    X, U, tf_val = layout.split(z)
+    X, U = layout.split(z)
     mesh = nlp.mesh
-    tf = mesh.tf if tf_val is None else float(tf_val)
-    times = mesh.interval_times(tf)
     source = nlp.source
     if isinstance(source, AugmentedOcp):
         n_states = source.n_x
@@ -716,7 +601,8 @@ def extract_solution(nlp: NlpProblem, z: np.ndarray,
         state_values.append(X[a:a + nk + 1].copy())
         control_values.append(U[a:a + nk].copy())
     traj = Trajectory(
-        t0=mesh.t0, tf=tf, interval_times=times, orders=mesh.orders,
+        t0=mesh.t0, tf=mesh.tf, interval_times=mesh.interval_times(),
+        orders=mesh.orders,
         state_values=state_values, control_values=control_values,
         n_states=n_states, sens_shape=sens_shape,
         objective=objective_value,

@@ -28,7 +28,6 @@ def test_empty_config_gives_defaults(tmp_path):
     assert cfg.q == 0.01 and cfg.beta == 5.0
     assert cfg.seed == 1234
     assert cfg.methods == METHODS
-    assert cfg.workers == 1
     assert cfg.output_dir == "."
 
 
@@ -56,7 +55,6 @@ q = 0.02
 beta = 10.0
 seed = 7
 methods = OC, DOG
-workers = 3
 
 [output]
 directory = out
@@ -67,7 +65,7 @@ directory = out
     assert cfg.cycle_duration == 2.0 and cfg.cycle_count == 20
     assert cfg.method == "OG"
     assert cfg.runs == 10 and cfg.q == 0.02 and cfg.beta == 10.0
-    assert cfg.seed == 7 and cfg.workers == 3
+    assert cfg.seed == 7
     assert cfg.methods == ("OC", "DOG")
     assert cfg.output_dir == "out"
 
@@ -236,20 +234,23 @@ def test_campaign_all_failed_exits_two(tmp_path, capsys):
     assert (tmp_path / "records.csv").exists()
 
 
-def test_worker_env_override_must_be_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GUIDEDOG_WORKERS", "many")
-    config = _write(tmp_path, "[mc]\nmethods = OC\n")
-    rc = main(["campaign", "--config", config, "--runs", "1",
+
+def test_unknown_preset_flag_exits_one(tmp_path, capsys):
+    rc = main(["campaign", "--preset", "fig9", "--runs", "1",
                "--output", str(tmp_path)])
     assert rc == 1
-    capsys.readouterr()
+    assert "unknown preset" in capsys.readouterr().err
+    assert not (tmp_path / "records.csv").exists()
 
 
-def test_worker_env_override_applies(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GUIDEDOG_WORKERS", "2")
-    config = _write(tmp_path, "[mc]\nmethods = OC\n")
-    rc = main(["campaign", "--config", config, "--preset", "fig3a",
-               "--runs", "2", "--seed", "5", "--output", str(tmp_path)])
-    assert rc == 0
-    capsys.readouterr()
-    assert (tmp_path / "records.csv").exists()
+def test_readme_config_example_parses(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        text = handle.read()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(_write(tmp_path, block))
+    assert cfg.problem == "example" and cfg.alpha == 2.0
+    assert cfg.mesh_intervals == 10 and cfg.mesh_order == 4
+    assert cfg.method == "DOG" and cfg.preset == "fig3a"
+    assert cfg.methods == METHODS
+    assert cfg.output_dir == "out"

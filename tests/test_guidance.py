@@ -4,8 +4,8 @@ import pytest
 
 from guidedog.guidance import (
     GuidanceConfig,
+    _resolve_cycle,
     cycle_bounds,
-    remap_and_resolve,
     restart_conditions,
     run_mission,
     solve_reference,
@@ -13,7 +13,7 @@ from guidedog.guidance import (
 from guidedog.ocp import example_problem
 from guidedog.simulation import integrate
 from guidedog.sqp import SolverOptions
-from guidedog.transcription import base_objective
+from guidedog.transcription import base_objective, example_mesh
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +116,8 @@ def test_remap_at_t0_reproduces_reference(problem, oc_mission):
     ocp, _ = problem
     ref = oc_mission.trajectories[0]
     cfg = GuidanceConfig(method="OG")
-    again = remap_and_resolve(ocp, None, ref.state_at(0.0), None,
-                              0.0, 50.0, cfg, ref)
+    again, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                              ref.state_at(0.0), None, 0.0, 50.0, ref)
     for t in np.linspace(0.0, 50.0, 101):
         assert again.state_at(t)[0] == pytest.approx(ref.state_at(t)[0],
                                                      abs=1e-9)
@@ -128,8 +128,8 @@ def test_remap_dp_consistency_plain(problem, oc_mission):
     ref = oc_mission.trajectories[0]
     truth = integrate(ocp, ref, ref.state_at(0.0), (0.0, 4.0))
     cfg = GuidanceConfig(method="OG")
-    tail = remap_and_resolve(ocp, None, truth.terminal_state, None,
-                             4.0, 50.0, cfg, ref)
+    tail, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                             truth.terminal_state, None, 4.0, 50.0, ref)
     assert tail.t0 == 4.0 and tail.tf == 50.0
     assert tail.interval_times[0] == pytest.approx(4.0, abs=1e-12)
     assert tail.interval_times[-1] == pytest.approx(50.0, abs=1e-12)
@@ -144,8 +144,9 @@ def test_remap_dp_consistency_desensitized(problem, doc_mission):
     ref = doc_mission.trajectories[0]
     truth = integrate(ocp, ref, ref.state_at(0.0), (0.0, 4.0))
     cfg = GuidanceConfig(method="DOG")
-    tail = remap_and_resolve(ocp, spec, truth.terminal_state,
-                             ref.sensitivity_at(4.0), 4.0, 50.0, cfg, ref)
+    tail, _ = _resolve_cycle(ocp, spec, cfg, example_mesh(),
+                             truth.terminal_state, ref.sensitivity_at(4.0),
+                             4.0, 50.0, ref)
     for t in np.linspace(4.0, 50.0, 101):
         assert tail.state_at(t)[0] == pytest.approx(ref.state_at(t)[0],
                                                     abs=1e-5)
@@ -154,9 +155,9 @@ def test_remap_dp_consistency_desensitized(problem, doc_mission):
 def test_remap_rejects_empty_horizon(problem, oc_mission):
     ocp, _ = problem
     ref = oc_mission.trajectories[0]
-    with pytest.raises(ValueError):
-        remap_and_resolve(ocp, None, np.array([1.0]), None, 50.0, 50.0,
-                          GuidanceConfig(method="OG"), ref)
+    with pytest.raises(ValueError, match="t0 < tf"):
+        _resolve_cycle(ocp, None, GuidanceConfig(method="OG"), example_mesh(),
+                       np.array([1.0]), None, 50.0, 50.0, ref)
 
 
 def test_guided_mission_structure(dog_mission):
@@ -259,6 +260,6 @@ def test_failed_resolve_raises_in_remap(problem, oc_mission):
     cfg = GuidanceConfig(
         method="OG", solver=SolverOptions(kkt_tolerance=1e-15,
                                           max_iterations=2))
-    with pytest.raises(RuntimeError):
-        remap_and_resolve(ocp, None, np.array([5.0]), None, 4.0, 50.0,
-                          cfg, ref)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _resolve_cycle(ocp, None, cfg, example_mesh(), np.array([5.0]), None,
+                       4.0, 50.0, ref)

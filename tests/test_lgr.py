@@ -7,12 +7,11 @@ from guidedog.lgr import (
     basis,
     barycentric_weights,
     differentiation_matrix,
-    interp_eval,
     legendre_eval,
     lgr_nodes,
     lgr_weights,
-    make_interpolant,
 )
+from guidedog.trajectory import Trajectory, _bary_eval
 
 
 def test_legendre_low_orders():
@@ -131,63 +130,68 @@ def test_basis_cache_returns_same_object():
     assert basis(6) is basis(6)
 
 
+def _interp(nodes, values, tau):
+    nodes = np.asarray(nodes, dtype=float)
+    return _bary_eval(nodes, barycentric_weights(nodes),
+                      np.asarray(values, dtype=float), tau)
+
+
+def _one_interval(n, state_fn, control_fn):
+    # a single mesh interval on [-1, 1], so times equal local tau
+    b = basis(n)
+    return Trajectory(t0=-1.0, tf=1.0, interval_times=[-1.0, 1.0],
+                      orders=(n,), state_values=[state_fn(b.support)[:, None]],
+                      control_values=[control_fn(b.nodes)[:, None]],
+                      n_states=1)
+
+
 def test_interpolation_constant():
-    itp = make_interpolant([-1.0, 1.0], [3.0, 3.0])
-    assert_allclose(interp_eval(itp, 0.0), 3.0, atol=1e-15)
+    assert_allclose(_interp([-1.0, 1.0], [3.0, 3.0], 0.0), 3.0, atol=1e-15)
 
 
 def test_interpolation_polynomial_reproduction():
-    itp = make_interpolant([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])  # tau^2
-    assert_allclose(interp_eval(itp, 0.5), 0.25, atol=1e-14)
+    # tau^2 through three points
+    assert_allclose(_interp([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], 0.5), 0.25,
+                    atol=1e-14)
 
 
 def test_interpolation_node_identity_exact():
     nodes = np.concatenate((lgr_nodes(5), [1.0]))
     values = np.sin(nodes)
-    itp = make_interpolant(nodes, values)
     for tau, val in zip(nodes, values):
-        assert abs(interp_eval(itp, tau) - val) <= 1e-13
         # exact node hits return the stored sample, not a recomputation
-        assert interp_eval(itp, tau) == val
+        assert _interp(nodes, values, tau) == val
 
 
 def test_interpolation_analytic_function():
     nodes = np.concatenate((lgr_nodes(5), [1.0]))
-    itp = make_interpolant(nodes, np.sin(nodes))
-    assert abs(interp_eval(itp, 0.2) - np.sin(0.2)) < 1e-4
+    assert abs(_interp(nodes, np.sin(nodes), 0.2) - np.sin(0.2)) < 1e-4
 
 
 def test_interpolation_vector_values():
     nodes = np.array([-1.0, 0.0, 1.0])
     vals = np.stack([nodes**2, nodes], axis=1)
-    itp = make_interpolant(nodes, vals)
-    assert_allclose(interp_eval(itp, 0.5), [0.25, 0.5], atol=1e-14)
+    assert_allclose(_interp(nodes, vals, 0.5), [0.25, 0.5], atol=1e-14)
 
 
 def test_interpolation_extrapolation_raises():
-    itp = make_interpolant([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    traj = _one_interval(3, lambda t: t**2, lambda t: t)
     with pytest.raises(ValueError, match="outside"):
-        interp_eval(itp, 1.5)
+        traj.full_state_at(1.5)
     with pytest.raises(ValueError, match="outside"):
-        interp_eval(itp, -1.0 - 1e-6)
+        traj.control_at(-1.0 - 1e-6)
 
 
 def test_interpolation_widened_domain():
-    # Control interpolants evaluate past their last support node, up to
-    # the mesh-interval endpoint.
-    nodes = lgr_nodes(4)
-    itp = make_interpolant(nodes, nodes**3, domain=(-1.0, 1.0))
-    assert_allclose(interp_eval(itp, 1.0), 1.0, atol=1e-12)
+    # Controls evaluate past their last support node, up to the
+    # mesh-interval endpoint.
+    traj = _one_interval(4, lambda t: t, lambda t: t**3)
+    assert_allclose(traj.control_at(1.0), [1.0], atol=1e-12)
 
 
 def test_barycentric_weights_reject_duplicates():
     with pytest.raises(ValueError):
         barycentric_weights(np.array([0.0, 0.0, 1.0]))
-
-
-def test_interpolant_length_mismatch():
-    with pytest.raises(ValueError):
-        make_interpolant([-1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 def test_lgr_nodes_rejects_nonpositive():

@@ -72,8 +72,6 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ValueError):
         MonteCarloConfig(beta=-5.0)
     with pytest.raises(ValueError):
-        MonteCarloConfig(workers=0)
-    with pytest.raises(ValueError):
         MonteCarloConfig(methods=())
     with pytest.raises(ValueError):
         MonteCarloConfig(methods=("OC", "XYZ"))
@@ -150,15 +148,6 @@ def test_campaign_reproducible(example):
     first = run_campaign(ocp, None, cfg)
     second = run_campaign(ocp, None, cfg)
     assert first == second
-
-
-def test_workers_do_not_change_records(example):
-    ocp, _ = example
-    serial = MonteCarloConfig(run_count=4, q=0.01, beta=0.0, seed=31,
-                              methods=("OC",), workers=1)
-    pooled = MonteCarloConfig(run_count=4, q=0.01, beta=0.0, seed=31,
-                              methods=("OC",), workers=3)
-    assert run_campaign(ocp, None, serial) == run_campaign(ocp, None, pooled)
 
 
 def test_plain_campaign_requires_no_spec(example):

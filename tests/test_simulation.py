@@ -5,7 +5,7 @@ import pytest
 from guidedog.lgr import basis
 from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sensitivity import augment
-from guidedog.simulation import SimResult, control_at, integrate
+from guidedog.simulation import SimResult, integrate
 from guidedog.sqp import initial_guess, solve
 from guidedog.transcription import (
     build_mesh,
@@ -101,7 +101,7 @@ def test_control_exact_at_collocation_times():
     controls = rng.standard_normal((sum(mesh.orders), 1))
     traj = _trajectory(ocp, mesh, controls)
     for t, expected in zip(_collocation_times(mesh), controls[:, 0]):
-        assert control_at(traj, t)[0] == pytest.approx(expected, abs=1e-13)
+        assert traj.control_at(t)[0] == pytest.approx(expected, abs=1e-13)
 
 
 def test_constant_control_everywhere():
@@ -110,7 +110,7 @@ def test_constant_control_everywhere():
     controls = np.full((sum(mesh.orders), 1), 3.14)
     traj = _trajectory(ocp, mesh, controls)
     for t in np.linspace(0.0, 2.0, 17):
-        assert control_at(traj, t)[0] == pytest.approx(3.14, abs=1e-12)
+        assert traj.control_at(t)[0] == pytest.approx(3.14, abs=1e-12)
 
 
 def test_control_reproduces_polynomial_off_node():
@@ -122,7 +122,7 @@ def test_control_reproduces_polynomial_off_node():
     controls = poly(_collocation_times(mesh))[:, None]
     traj = _trajectory(ocp, mesh, controls)
     for t in np.linspace(0.0, 2.0, 41):
-        assert control_at(traj, t)[0] == pytest.approx(poly(t), abs=1e-12)
+        assert traj.control_at(t)[0] == pytest.approx(poly(t), abs=1e-12)
 
 
 def test_control_outside_span_raises():
@@ -130,9 +130,9 @@ def test_control_outside_span_raises():
     ocp = _plant(lambda x, u, p, t: -x, tf=2.0)
     traj = _trajectory(ocp, mesh)
     with pytest.raises(ValueError):
-        control_at(traj, -0.5)
+        traj.control_at(-0.5)
     with pytest.raises(ValueError):
-        control_at(traj, 2.5)
+        traj.control_at(2.5)
 
 
 def test_integrate_rejects_span_outside_trajectory():

@@ -184,6 +184,8 @@ def test_unconstrained_quadratic():
         constraints=lambda z: np.zeros(0),
         lower=np.zeros(0),
         upper=np.zeros(0),
+        gradient=lambda z: np.array([2.0 * (z[0] - 1.0), 6.0 * (z[1] + 2.0)]),
+        jacobian=lambda z: np.zeros((0, 2)),
     )
     sol = solve(nlp, np.array([0.0, 0.0]))
     assert sol.status == "converged"
@@ -202,20 +204,11 @@ def test_max_iterations_status():
     assert sol.z.size == nlp.n_vars
 
 
-def test_gauss_newton_mode_on_small_problem():
-    sol = solve(_scalar_pin_problem(), np.array([0.0]),
-                SolverOptions(hessian_mode="gauss-newton"))
-    assert sol.status == "converged"
-    assert sol.z[0] == pytest.approx(3.0, abs=1e-8)
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(kkt_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(hessian_mode="newton")
     with pytest.raises(ValueError):
         LineSearchOptions(contraction=1.5)
     with pytest.raises(ValueError):
@@ -314,7 +307,7 @@ def test_initial_guess_shape_and_boundary_values():
     z0 = initial_guess(aug, mesh)
     nlp = transcribe(aug, mesh)
     assert z0.size == nlp.n_vars
-    X, U, _ = nlp.layout.split(z0)
+    X, U = nlp.layout.split(z0)
     # physical state runs linearly 1.5 -> 1.0; sensitivity stays zero
     assert X[0, 0] == 1.5 and X[-1, 0] == 1.0
     assert np.all(X[:, 1] == 0.0)
@@ -332,7 +325,7 @@ def test_initial_guess_descends_monotonically_in_time():
     mesh = build_mesh(0.0, 50.0, 5, 3)
     z0 = initial_guess(ocp, mesh)
     nlp = transcribe(ocp, mesh)
-    X, _, _ = nlp.layout.split(z0)
+    X, _ = nlp.layout.split(z0)
     assert np.all(np.diff(X[:, 0]) < 0.0)
 
 

@@ -238,64 +238,22 @@ def test_pack_values_validates_shapes():
 
 
 def test_footprints_cover_all_dependencies():
+    # every constraint row a variable can move is a nonzero entry of the
+    # analytic Jacobian's column: no dependency falls outside its pattern
     aug = _augmented_example()
     mesh = build_mesh(0.0, 50.0, 3, 3)
     nlp = transcribe(aug, mesh)
     rng = np.random.default_rng(7)
     z = 0.2 * rng.standard_normal(nlp.n_vars)
     c0 = nlp.constraints(z)
+    J = nlp.jacobian(z)
     for i in range(nlp.n_vars):
         zp = z.copy()
         zp[i] += 1e-4 * (1.0 + abs(z[i]))
         dc = nlp.constraints(zp) - c0
-        outside = np.setdiff1d(np.nonzero(dc != 0.0)[0], nlp.var_footprints[i])
+        outside = np.setdiff1d(np.nonzero(dc != 0.0)[0],
+                               np.nonzero(J[:, i])[0])
         assert outside.size == 0, f"var {i} leaks into rows {outside}"
-
-
-def test_fd_groups_partition_variables_with_disjoint_footprints():
-    aug = _augmented_example()
-    mesh = build_mesh(0.0, 50.0, 5, 4)
-    nlp = transcribe(aug, mesh)
-    seen = np.zeros(nlp.n_vars, dtype=int)
-    for group in nlp.fd_groups:
-        seen[group] += 1
-        rows = np.concatenate([nlp.var_footprints[i] for i in group])
-        assert rows.size == np.unique(rows).size
-    assert np.all(seen == 1)
-    # grouping should beat one evaluation per variable
-    assert len(nlp.fd_groups) < nlp.n_vars
-
-
-def test_grouped_fd_matches_dense_fd_bitwise():
-    aug = _augmented_example()
-    mesh = build_mesh(0.0, 50.0, 4, 3)
-    nlp = transcribe(aug, mesh)
-    rng = np.random.default_rng(3)
-    z = 0.3 * rng.standard_normal(nlp.n_vars)
-    c0 = nlp.constraints(z)
-    steps = 1e-7 * (1.0 + np.abs(z))
-
-    dense = np.empty((nlp.n_constraints, nlp.n_vars))
-    for i in range(nlp.n_vars):
-        zp = z.copy()
-        zp[i] += steps[i]
-        dense[:, i] = (nlp.constraints(zp) - c0) / steps[i]
-
-    grouped = np.zeros_like(dense)
-    for group in nlp.fd_groups:
-        zp = z.copy()
-        zp[group] += steps[group]
-        diff = nlp.constraints(zp) - c0
-        for i in group:
-            rows = nlp.var_footprints[i]
-            grouped[rows, i] = diff[rows] / steps[i]
-
-    for i in range(nlp.n_vars):
-        rows = nlp.var_footprints[i]
-        assert np.array_equal(grouped[rows, i], dense[rows, i])
-        mask = np.ones(nlp.n_constraints, dtype=bool)
-        mask[rows] = False
-        assert np.all(dense[mask, i] == 0.0)
 
 
 def test_objective_gradient_matches_central_difference():
@@ -349,35 +307,6 @@ def test_boundary_and_path_rows():
     c = nlp.constraints(z)
     assert c[6] == pytest.approx(1.0)
     assert np.allclose(c[7:], 0.3)
-    # endpoint states touching the boundary callback are finite-differenced
-    # alone so their group footprint stays valid
-    first_var = layout.state_var_index(0, 0)
-    last_var = layout.state_var_index(layout.n_state_points - 1, 0)
-    for var in (first_var, last_var):
-        owning = [g for g in nlp.fd_groups if var in g]
-        assert len(owning) == 1 and owning[0].size == 1
-
-
-def test_free_final_time_smoke():
-    ocp = OcpDefinition(
-        n_states=1, n_controls=1, n_params=0,
-        dynamics=_control_dynamics, jac_x=None, jac_p=None,
-        running_cost=None, terminal_cost=None,
-        nominal_params=np.zeros(0),
-        time_domain=(0.0, 2.0),
-        initial_state=np.array([0.0]),
-        vectorized=True,
-    )
-    mesh = build_mesh(0.0, 2.0, 2, 3)
-    nlp = transcribe(ocp, mesh, free_tf=True)
-    layout = nlp.layout
-    assert layout.tf_index == nlp.n_vars - 1
-    assert nlp.gradient is None
-    z = pack_values(layout, np.zeros((7, 1)), np.zeros((6, 1)), tf=3.0)
-    c = nlp.constraints(z)
-    assert c.size == nlp.n_constraints
-    traj = extract_solution(nlp, z)
-    assert traj.tf == pytest.approx(3.0)
 
 
 def _quadratic_cost(x, u, t):
@@ -575,17 +504,3 @@ def test_constraint_jacobian_matches_fd_nonvectorized_two_states():
     rng = np.random.default_rng(29)
     _assert_jacobian_consistent(nlp, 0.5 * rng.standard_normal(nlp.n_vars))
 
-
-def test_free_final_time_has_no_jacobian_callback():
-    ocp = OcpDefinition(
-        n_states=1, n_controls=1, n_params=0,
-        dynamics=_control_dynamics, jac_x=None, jac_p=None,
-        running_cost=None, terminal_cost=None,
-        nominal_params=np.zeros(0),
-        time_domain=(0.0, 2.0),
-        initial_state=np.array([0.0]),
-        vectorized=True,
-    )
-    mesh = build_mesh(0.0, 2.0, 2, 3)
-    assert transcribe(ocp, mesh, free_tf=True).jacobian is None
-    assert transcribe(ocp, mesh).jacobian is not None
