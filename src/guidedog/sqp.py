@@ -463,7 +463,15 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
         viol_l1 = _l1_violation(nlp, c)
         phi0 = _merit(f, viol_l1, nu)
         dphi = float(g @ d) - nu * viol_l1
-        tiny = -dphi <= 1e3 * eps * (1.0 + abs(phi0))
+        rounding = 1e3 * eps * (1.0 + abs(phi0))
+        if dphi > rounding:
+            # not a descent direction for the merit (an indefinite seeded
+            # matrix can give one): stop instead of climbing along it
+            status = "line-search-failure"
+            lam = lam_check
+            iterations = it
+            break
+        tiny = abs(dphi) <= rounding
 
         alpha = 1.0
         accepted = False

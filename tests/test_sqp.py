@@ -204,6 +204,24 @@ def test_max_iterations_status():
     assert sol.z.size == nlp.n_vars
 
 
+def test_ascent_direction_is_never_accepted():
+    # an indefinite seed makes the first QP step point uphill: z = 1 -> 3
+    nlp = NlpProblem(
+        n_vars=1,
+        objective=lambda z: float(z[0] ** 2),
+        constraints=lambda z: np.zeros(0),
+        lower=np.zeros(0),
+        upper=np.zeros(0),
+        gradient=lambda z: np.array([2.0 * z[0]]),
+        jacobian=lambda z: np.zeros((0, 1)),
+    )
+    sol = solve(nlp, np.array([1.0]), hessian0=np.array([[-1.0]]))
+    objectives = [1.0] + [rec.objective for rec in sol.trace]
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+    assert sol.objective <= 1.0
+    assert sol.status == "line-search-failure"
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(kkt_tolerance=0.0)
