@@ -4,6 +4,7 @@ A :class:`Trajectory` stores the per-interval state/control samples of
 a collocated solution together with the mesh geometry, and evaluates
 state, control and sensitivity at arbitrary times inside its span by
 barycentric Lagrange interpolation over the owning mesh interval.
+At a stored sample time the stored sample itself is returned.
 State polynomials are supported on the N_k collocation nodes plus the
 right endpoint; control polynomials on the N_k collocation nodes only,
 evaluated across the whole interval (the standard Radau convention for
@@ -55,8 +56,17 @@ class Trajectory:
             for k, nk in enumerate(self.orders):
                 a, b = self.interval_times[k], self.interval_times[k + 1]
                 b_set = basis(nk)
-                self.state_times.append(a + (b_set.support + 1.0) * 0.5 * (b - a))
+                support = a + (b_set.support + 1.0) * 0.5 * (b - a)
+                support[-1] = b   # a + (b - a) can round past b
+                self.state_times.append(support)
                 self.control_times.append(a + (b_set.nodes + 1.0) * 0.5 * (b - a))
+        # interpolation nodes: the stored times mapped to local tau by the
+        # same arithmetic as a query, so a query at a stored time lands
+        # exactly on its node (the canonical LGR node can be an ulp away)
+        self._state_taus = [self._local_tau(k, ts)
+                            for k, ts in enumerate(self.state_times)]
+        self._control_taus = [self._local_tau(k, ts)
+                              for k, ts in enumerate(self.control_times)]
 
     @property
     def n_intervals(self) -> int:
@@ -86,9 +96,8 @@ class Trajectory:
         k = self.locate(t)
         b_set = basis(self.orders[k])
         tau = np.clip(self._local_tau(k, t), -1.0, 1.0)
-        return np.atleast_1d(
-            _bary_eval(b_set.support, b_set.support_bary, self.state_values[k], tau)
-        )
+        return np.atleast_1d(_bary_eval(self._state_taus[k], b_set.support_bary,
+                                        self.state_values[k], tau))
 
     def state_at(self, t: float) -> np.ndarray:
         return self.full_state_at(t)[: self.n_states]
@@ -97,9 +106,8 @@ class Trajectory:
         k = self.locate(t)
         b_set = basis(self.orders[k])
         tau = np.clip(self._local_tau(k, t), -1.0, 1.0)
-        return np.atleast_1d(
-            _bary_eval(b_set.nodes, b_set.node_bary, self.control_values[k], tau)
-        )
+        return np.atleast_1d(_bary_eval(self._control_taus[k], b_set.node_bary,
+                                        self.control_values[k], tau))
 
     def sensitivity_at(self, t: float) -> np.ndarray:
         if self.sens_shape is None:

@@ -1,0 +1,92 @@
+"""Property tests for barycentric evaluation of a solved Trajectory."""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from guidedog.lgr import basis
+from guidedog.trajectory import Trajectory
+
+_coef = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def polynomial_trajectories(draw):
+    """Random mesh plus per-interval state/control polynomials.
+
+    Interval k carries a state polynomial of degree N_k and a control
+    polynomial of degree N_k - 1, both in the interval's own scaled
+    variable; state polynomials are chained so they meet at every
+    interface, as a collocated solution does.
+    """
+    orders = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    t0 = draw(st.floats(-100.0, 100.0))
+    widths = draw(st.lists(st.floats(0.01, 20.0), min_size=len(orders),
+                           max_size=len(orders)))
+    bounds = t0 + np.concatenate(([0.0], np.cumsum(widths)))
+    state_polys, control_polys, state_values, control_values = [], [], [], []
+    joint = 0.0
+    for k, nk in enumerate(orders):
+        a, b = bounds[k], bounds[k + 1]
+        window = [a, b]
+        p = np.polynomial.Polynomial(
+            draw(st.lists(_coef, min_size=nk + 1, max_size=nk + 1)),
+            domain=window)
+        # shift so this interval starts where the previous one ended
+        p = p + (joint - p(a))
+        joint = p(b)
+        c = np.polynomial.Polynomial(
+            draw(st.lists(_coef, min_size=nk, max_size=nk)), domain=window)
+        bas = basis(nk)
+        state_values.append(p(a + (bas.support + 1.0) * 0.5 * (b - a))[:, None])
+        control_values.append(c(a + (bas.nodes + 1.0) * 0.5 * (b - a))[:, None])
+        if k:
+            state_values[k][0] = state_values[k - 1][-1]
+        state_polys.append(p)
+        control_polys.append(c)
+    traj = Trajectory(t0=float(bounds[0]), tf=float(bounds[-1]),
+                      interval_times=bounds, orders=orders,
+                      state_values=state_values,
+                      control_values=control_values, n_states=1)
+    fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                              min_size=1, max_size=6))
+    return traj, state_polys, control_polys, fractions
+
+
+def _probe_times(traj, k, fractions):
+    """Times inside interval k, plus t_f for the last interval."""
+    a, b = traj.interval_times[k], traj.interval_times[k + 1]
+    times = [t for t in a + np.asarray(fractions) * (b - a) if t < b]
+    if k == traj.n_intervals - 1:
+        times.append(b)
+    return times
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_trajectories())
+def test_full_state_reproduces_interval_polynomials(case):
+    traj, state_polys, _, fractions = case
+    for k, p in enumerate(state_polys):
+        scale = 1.0 + float(np.max(np.abs(traj.state_values[k])))
+        for t in _probe_times(traj, k, fractions):
+            assert abs(traj.full_state_at(t)[0] - p(t)) <= 1e-9 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_trajectories())
+def test_control_reproduces_interval_polynomials(case):
+    traj, _, control_polys, fractions = case
+    for k, c in enumerate(control_polys):
+        a, b = traj.interval_times[k], traj.interval_times[k + 1]
+        scale = 1.0 + float(np.max(np.abs(c(np.linspace(a, b, 11)))))
+        for t in _probe_times(traj, k, fractions):
+            assert abs(traj.control_at(t)[0] - c(t)) <= 1e-9 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_trajectories())
+def test_node_times_return_stored_samples_exactly(case):
+    traj = case[0]
+    for k in range(traj.n_intervals):
+        for t, row in zip(traj.state_times[k], traj.state_values[k]):
+            assert np.array_equal(traj.full_state_at(t), row)
+        for t, row in zip(traj.control_times[k], traj.control_values[k]):
+            assert np.array_equal(traj.control_at(t), row)
