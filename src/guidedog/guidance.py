@@ -394,7 +394,15 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
 def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                    base_mesh: Mesh, x0, s0, t_start: float, tf: float,
                    warm_start: Trajectory):
-    """Re-solve on [t_start, tf] warm-started from the previous solution."""
+    """Re-solve on [t_start, tf] warm-started from the previous solution.
+
+    The mesh keeps ``base_mesh``'s fractions and orders mapped onto the
+    remaining horizon (an empty horizon raises ValueError); x(t_start)
+    is pinned to ``x0``, and S(t_start) to ``s0`` for desensitized
+    methods, while the terminal condition stays in force.  Returns
+    ``(trajectory, solution)``; raises RuntimeError when no attempt
+    converges.
+    """
     mesh = base_mesh.with_time_domain(float(t_start), float(tf))
     x0 = np.asarray(x0, dtype=float)
     shrunk = ocp.with_initial_state(x0, time_domain=(float(t_start), float(tf)))
