@@ -206,8 +206,10 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     """Transcribe an :class:`OcpDefinition` or :class:`AugmentedOcp`.
 
     The mesh must match the problem's (fixed) time domain.  The NLP
-    carries analytic-structure derivative hooks: the objective
-    gradient, the constraint Jacobian, and the Lagrangian Hessian.
+    carries derivative hooks built on the transcription's fixed
+    sparsity: the objective gradient, the constraint Jacobian and the
+    Lagrangian Hessian, each assembled from per-point blocks (the
+    problem's ``jac_x`` where given, batched differences otherwise).
     """
     source = problem
     ocp = problem.ocp if isinstance(problem, AugmentedOcp) else problem

@@ -137,7 +137,7 @@ def _interp(nodes, values, tau):
 
 
 def _one_interval(n, state_fn, control_fn):
-    # a single mesh interval on [-1, 1], so times equal local tau
+    # a single mesh interval on [-1, 1]: times are local tau up to rounding
     b = basis(n)
     return Trajectory(t0=-1.0, tf=1.0, interval_times=[-1.0, 1.0],
                       orders=(n,), state_values=[state_fn(b.support)[:, None]],

@@ -238,8 +238,8 @@ def test_pack_values_validates_shapes():
 
 
 def test_footprints_cover_all_dependencies():
-    # every constraint row a variable can move is a nonzero entry of the
-    # analytic Jacobian's column: no dependency falls outside its pattern
+    # every constraint row a variable can move is a nonzero entry of its
+    # column in nlp.jacobian: no dependency falls outside the pattern
     aug = _augmented_example()
     mesh = build_mesh(0.0, 50.0, 3, 3)
     nlp = transcribe(aug, mesh)
