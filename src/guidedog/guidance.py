@@ -11,7 +11,9 @@ problem.
 
 Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
-previous solution interpolated onto that mesh.  Seeding the solver
+previous solution evaluated, in one array call each for states and
+controls, at that mesh's node times (``Mesh.node_times``).  Sensitivity
+staging reads a trajectory's own node times.  Seeding the solver
 with the Lagrangian Hessian evaluated at the warm point makes each
 re-solve a Newton polish: at the nominal parameter every cycle
 converges in one or two iterations.
@@ -151,30 +153,16 @@ def restart_conditions(prev_solution: Trajectory, sim, t_handoff: float):
     return x0, s0
 
 
-def _support_times(mesh: Mesh) -> np.ndarray:
-    bounds = mesh.interval_times()
-    parts = []
-    for k, nk in enumerate(mesh.orders):
-        t = bounds[k] + (basis(nk).support + 1.0) * 0.5 * (bounds[k + 1] - bounds[k])
-        parts.append(t if k == 0 else t[1:])
-    return np.concatenate(parts)
-
-
-def _colloc_times(mesh: Mesh) -> np.ndarray:
-    bounds = mesh.interval_times()
-    return np.concatenate([
-        bounds[k] + (basis(nk).nodes + 1.0) * 0.5 * (bounds[k + 1] - bounds[k])
-        for k, nk in enumerate(mesh.orders)
-    ])
-
-
 def _warm_vector(traj: Trajectory, nlp, first_row: np.ndarray) -> np.ndarray:
-    """Previous solution interpolated onto the new mesh, first row pinned."""
-    sup = np.minimum(_support_times(nlp.mesh), traj.tf)
-    col = np.minimum(_colloc_times(nlp.mesh), traj.tf)
-    states = np.vstack([traj.full_state_at(t) for t in sup])
+    """Previous solution interpolated onto the new mesh, first row pinned.
+
+    Only the NLP's own state columns are kept, so a plain problem can
+    start from a desensitized trajectory.
+    """
+    sup, col = nlp.mesh.node_times()
+    states = traj.full_state_at(np.minimum(sup, traj.tf))[:, : nlp.layout.n_aug]
     states[0] = first_row
-    controls = np.vstack([traj.control_at(t) for t in col])
+    controls = traj.control_at(np.minimum(col, traj.tf))
     return pack_values(nlp.layout, states, controls)
 
 
@@ -201,38 +189,12 @@ def _seed_and_solve(nlp, z: np.ndarray, solver_opts: SolverOptions,
     return sol
 
 
-def _bary_rows(nodes, weights, values, taus: np.ndarray) -> np.ndarray:
-    """Barycentric evaluation of stacked polynomials at many points."""
-    nodes = np.asarray(nodes)
-    values = np.asarray(values)
-    delta = taus[:, None] - nodes[None, :]
-    hit_rows, hit_cols = np.nonzero(delta == 0.0)
-    delta[hit_rows, :] = 1.0
-    # rows with an exact node hit divide by the weight sum, which is
-    # identically zero; their quotient is discarded just below, so the
-    # intermediate overflow is harmless noise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.asarray(weights)[None, :] / delta
-        out = (coef @ values) / np.sum(coef, axis=1)[:, None]
-    out[hit_rows] = values[hit_cols]
-    return out
-
-
-def _interval_samples(traj: Trajectory, k: int, times: np.ndarray):
-    """Physical state and control rows of one mesh interval at many times."""
-    bas = basis(traj.orders[k])
-    a, b = traj.interval_times[k], traj.interval_times[k + 1]
-    tau = np.clip(2.0 * (times - a) / (b - a) - 1.0, -1.0, 1.0)
-    x = _bary_rows(bas.support, bas.support_bary,
-                   traj.state_values[k][:, : traj.n_states], tau)
-    u = _bary_rows(bas.nodes, bas.node_bary, traj.control_values[k], tau)
-    return x, u
-
-
-def _jac_profiles(ocp: OcpDefinition, x: np.ndarray, u: np.ndarray,
+def _jac_profiles(ocp: OcpDefinition, traj: Trajectory, k: int,
                   times: np.ndarray):
-    """Stacked dynamics Jacobians A(t), B(t) along a sampled trajectory."""
-    count = x.shape[0]
+    """Stacked dynamics Jacobians A(t), B(t) along interval k of ``traj``."""
+    x = traj.interval_values(k, times)[:, : traj.n_states]
+    u = traj.interval_values(k, times, control=True)
+    count = times.size
     n, m = ocp.n_states, ocp.n_params
     p = ocp.nominal_params
     if ocp.vectorized:
@@ -249,27 +211,22 @@ def _jac_profiles(ocp: OcpDefinition, x: np.ndarray, u: np.ndarray,
     return A, B
 
 
-def _collocated_sensitivity(ocp: OcpDefinition, traj: Trajectory, mesh: Mesh,
+def _collocated_sensitivity(ocp: OcpDefinition, traj: Trajectory,
                             s0: np.ndarray) -> np.ndarray:
     """S at the support points solving the discrete sensitivity defects.
 
     dS/dt = A S + B is linear, so on each interval the collocation
     conditions reduce to one linear solve; the result satisfies the
-    transcribed sensitivity rows exactly on this mesh.
+    transcribed sensitivity rows exactly on the trajectory's own mesh.
     """
     n, m = ocp.n_states, ocp.n_params
-    bounds = mesh.interval_times()
     s_here = s0
     out = [s_here]
     eye = np.eye(n)
-    for k in range(mesh.n_intervals):
-        nk = mesh.orders[k]
-        bas = basis(nk)
-        h = 0.5 * (bounds[k + 1] - bounds[k])
-        tc = bounds[k] + (bas.nodes + 1.0) * h
-        D = bas.diff_matrix
-        x, u = _interval_samples(traj, k, tc)
-        A, B = _jac_profiles(ocp, x, u, tc)
+    for k, nk in enumerate(traj.orders):
+        h = 0.5 * (traj.interval_times[k + 1] - traj.interval_times[k])
+        D = basis(nk).diff_matrix
+        A, B = _jac_profiles(ocp, traj, k, traj.control_times[k])
         # unknowns: S at the nk support points past the interval start
         M = np.kron(D[:, 1:], eye)
         rhs = np.empty((nk * n, m))
@@ -288,7 +245,7 @@ def _collocated_sensitivity(ocp: OcpDefinition, traj: Trajectory, mesh: Mesh,
     return np.stack(out)
 
 
-def _propagated_sensitivity(ocp: OcpDefinition, traj: Trajectory, mesh: Mesh,
+def _propagated_sensitivity(ocp: OcpDefinition, traj: Trajectory,
                             s0: np.ndarray) -> np.ndarray:
     """S at the support points by A-stable stepping of dS/dt = A S + B.
 
@@ -297,22 +254,17 @@ def _propagated_sensitivity(ocp: OcpDefinition, traj: Trajectory, mesh: Mesh,
     on meshes far too coarse to collocate it.
     """
     n, m = ocp.n_states, ocp.n_params
-    bounds = mesh.interval_times()
     s_here = s0
     out = [s_here]
     eye = np.eye(n)
-    for k in range(mesh.n_intervals):
-        nk = mesh.orders[k]
-        bas = basis(nk)
-        a, b = bounds[k], bounds[k + 1]
-        sup_times = a + (bas.support + 1.0) * 0.5 * (b - a)
-        x_s, u_s = _interval_samples(traj, k, sup_times)
-        A_s, _ = _jac_profiles(ocp, x_s, u_s, sup_times)
+    for k, nk in enumerate(traj.orders):
+        a, b = traj.interval_times[k], traj.interval_times[k + 1]
+        sup_times = traj.state_times[k]
+        A_s, _ = _jac_profiles(ocp, traj, k, sup_times)
         rate = float(np.max(np.sum(np.abs(A_s), axis=2)))
         steps = min(int(np.ceil(2.0 * (b - a) * max(rate, 1e-12))), 10_000)
         grid = np.union1d(sup_times, np.linspace(a, b, max(steps, nk) + 1))
-        x_g, u_g = _interval_samples(traj, k, grid)
-        A_g, B_g = _jac_profiles(ocp, x_g, u_g, grid)
+        A_g, B_g = _jac_profiles(ocp, traj, k, grid)
         values = [s_here]
         for i in range(grid.size - 1):
             h = grid[i + 1] - grid[i]
@@ -339,20 +291,20 @@ def _staged_sensitivity_guess(ocp: OcpDefinition, aug_prob, nlp_aug,
     the seeded solve becomes a one-step Newton polish) and one by
     stable time stepping of the true linear dynamics.  When they
     disagree the mesh is too coarse for the collocated profile to mean
-    anything, and the stable one makes the far better seed.
+    anything, and the stable one makes the far better seed.  ``traj``
+    must lie on ``nlp_aug``'s mesh.
     """
-    mesh = nlp_aug.mesh
-    sup = _support_times(mesh)
     n, m = ocp.n_states, ocp.n_params
     s0 = np.asarray(aug_prob.s0, dtype=float).reshape(n, m)
-    s_colloc = _collocated_sensitivity(ocp, traj, mesh, s0)
-    s_stable = _propagated_sensitivity(ocp, traj, mesh, s0)
+    s_colloc = _collocated_sensitivity(ocp, traj, s0)
+    s_stable = _propagated_sensitivity(ocp, traj, s0)
     gap = float(np.max(np.abs(s_colloc - s_stable)))
     scale = 1.0 + float(np.max(np.abs(s_stable)))
     s_rows = (s_colloc if gap <= 0.1 * scale else s_stable)
-    s_rows = s_rows.transpose(0, 2, 1).reshape(len(sup), n * m)
-    states = np.vstack([traj.full_state_at(t) for t in sup])
-    controls = np.vstack([traj.control_at(t) for t in _colloc_times(mesh)])
+    s_rows = s_rows.transpose(0, 2, 1).reshape(-1, n * m)
+    sup, col = nlp_aug.mesh.node_times()
+    states = traj.full_state_at(sup)
+    controls = traj.control_at(col)
     return pack_values(nlp_aug.layout, np.hstack([states, s_rows]), controls)
 
 
@@ -431,12 +383,7 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
         # mismatch on a coarse mesh), solve the plain shrunken problem
         # first and integrate S along it for a consistent restart.
         nlp_plain = transcribe(shrunk, mesh)
-        sup = np.minimum(_support_times(mesh), warm_start.tf)
-        col = np.minimum(_colloc_times(mesh), warm_start.tf)
-        states = np.vstack([warm_start.state_at(t) for t in sup])
-        states[0] = x0
-        controls = np.vstack([warm_start.control_at(t) for t in col])
-        z_plain = pack_values(nlp_plain.layout, states, controls)
+        z_plain = _warm_vector(warm_start, nlp_plain, x0)
         sol_plain = _seed_and_solve(nlp_plain, z_plain, cfg.solver)
         if sol_plain.status == "converged":
             traj_plain = extract_solution(nlp_plain, sol_plain.z,

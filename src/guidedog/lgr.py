@@ -5,7 +5,8 @@ interpolation weights on the canonical interval [-1, +1).  The LGR
 points of order n are the n roots of P_{n-1} + P_n; they include the
 left endpoint -1 and exclude +1.  State polynomials are supported on
 the nodes plus the noncollocated endpoint +1, so the differentiation
-matrix is rectangular, n x (n + 1).
+matrix is rectangular, n x (n + 1).  Mesh node times and polynomial
+evaluation live here too, for every caller in the package.
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ __all__ = [
     "lgr_weights",
     "differentiation_matrix",
     "barycentric_weights",
+    "barycentric_eval",
     "basis",
+    "interval_node_times",
 ]
 
 _NEWTON_MAX_ITER = 100
@@ -115,6 +118,32 @@ def barycentric_weights(points: np.ndarray) -> np.ndarray:
     return w / np.max(np.abs(w))
 
 
+def barycentric_eval(nodes, weights, values, tau):
+    """Interpolant through ``(nodes, values)`` at a scalar or array ``tau``.
+
+    Returns shape ``tau.shape + values.shape[1:]``, by the second (true)
+    barycentric formula (Berrut & Trefethen, SIAM Review 2004).  A query
+    equal to a node returns that node's sample exactly.  The sums run
+    along fixed axes, not through BLAS, so each row of an array query is
+    bit-identical to the same query made on its own.
+    """
+    values = np.asarray(values, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    rows = values.reshape(values.shape[0], -1)
+    delta = tau.reshape(-1, 1) - nodes
+    hit_rows, hit_cols = np.nonzero(delta == 0.0)
+    if hit_rows.size:
+        # a node hit would divide by zero: give its row a finite
+        # one-term sum, then overwrite it with the stored sample
+        delta[hit_rows] = np.inf
+        delta[hit_rows, hit_cols] = 1.0
+    coef = weights / delta
+    out = (coef[:, :, None] * rows).sum(axis=1) / coef.sum(axis=1)[:, None]
+    if hit_rows.size:
+        out[hit_rows] = rows[hit_cols]
+    return out.reshape(tau.shape + values.shape[1:])
+
+
 def differentiation_matrix(nodes: np.ndarray, noncollocated: float = 1.0) -> np.ndarray:
     """Differentiation matrix from the n + 1 support points to the n collocation points.
 
@@ -180,3 +209,19 @@ def basis(n: int) -> LgrBasisSet:
     )
     _BASIS_CACHE[n] = made
     return made
+
+
+def interval_node_times(bounds, orders) -> tuple[list, list]:
+    """Per-interval support (N_k + 1) and collocation (N_k) times.
+
+    Interval k maps the LGR points onto [bounds[k], bounds[k + 1]].  The
+    last support time is the bound itself: a + (b - a) can round past b.
+    """
+    support, colloc = [], []
+    for k, nk in enumerate(orders):
+        a, b = bounds[k], bounds[k + 1]
+        times = a + (basis(nk).support + 1.0) * 0.5 * (b - a)
+        times[-1] = b
+        support.append(times)
+        colloc.append(times[:-1].copy())
+    return support, colloc

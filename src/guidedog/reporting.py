@@ -30,7 +30,7 @@ __all__ = [
 
 RECORD_HEADER = "run,alpha_tilde,method,epsilon,status,iterations"
 
-GRID_POINTS = 501   # uniform sampling added to the collocation points
+GRID_POINTS = 501   # uniform sampling added to the support points
 
 
 def format_float(value: float) -> str:
@@ -94,13 +94,13 @@ def _float_row(values) -> str:
 
 def write_trajectory_csv(traj: Trajectory, path: str,
                          grid_points: int = GRID_POINTS) -> None:
-    """Sampled solve: a uniform grid plus every collocation point.
+    """Sampled solve: a uniform grid plus every support point.
 
     Columns are time, the base states, any sensitivity channels (in
     the trajectory's own flattened order), then the controls.
     """
     times = np.union1d(np.linspace(traj.t0, traj.tf, grid_points),
-                       traj.state_times)
+                       np.concatenate(traj.state_times))
     states, controls = traj.sample(times)
     n_x = traj.n_states
     n_extra = states.shape[1] - n_x

@@ -2,9 +2,10 @@
 
 Integrates the physical dynamics with (possibly perturbed) parameters
 while the control is read from a solved trajectory.  Integration is
-split at the trajectory's mesh-interval boundaries so that adaptive
-steps never straddle a point where the control interpolant switches
-polynomials.
+split at the trajectory's mesh-interval boundaries, and each segment's
+right-hand side reads its own interval's control polynomial, up to and
+including the segment ends: no stage evaluation ever sees the
+neighbouring interval's control.
 """
 from __future__ import annotations
 
@@ -71,8 +72,9 @@ class SimResult:
 
 def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
               abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> SimResult:
-    """Propagate ``xdot = f(x, traj.control_at(t), p_tilde, t)`` over span.
+    """Propagate ``xdot = f(x, u(t), p_tilde, t)`` over span.
 
+    ``u`` is read from each mesh interval's own control polynomial.
     ``span = (t_start, t_end)`` must lie within the trajectory's time
     domain; a reversed span integrates backward.  Raises RuntimeError
     when the integrator cannot reach the end of a segment.
@@ -95,13 +97,13 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
             f"p_tilde has shape {params.shape}, expected ({ocp.n_params},)"
         )
 
-    def rhs(t, x):
-        u = traj.control_at(t)
+    def rhs(t, x, k):
+        u = traj.interval_values(k, t, control=True)
         return np.atleast_1d(np.asarray(
             ocp.dynamics(x, u, params, t), dtype=float))
 
-    # split at interior mesh boundaries so steps stay inside one
-    # control polynomial
+    # split at interior mesh boundaries so each segment lies in one
+    # interval and flies that interval's control polynomial
     bounds = np.asarray(traj.interval_times, dtype=float)
     interior = bounds[(bounds > lo + 1e-12) & (bounds < hi - 1e-12)]
     cuts = np.concatenate(([t_start], interior if t_end >= t_start
@@ -114,7 +116,8 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a == b:
             continue
-        sol = solve_ivp(rhs, (a, b), x, method="DOP853",
+        k = int(traj.locate(0.5 * (a + b)))
+        sol = solve_ivp(rhs, (a, b), x, method="DOP853", args=(k,),
                         rtol=rel_tol, atol=abs_tol, dense_output=True)
         if not sol.success:
             raise RuntimeError(
@@ -127,6 +130,6 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
 
     t_grid = np.concatenate(times)
     x_grid = np.vstack(states)
-    u_grid = np.stack([traj.control_at(t) for t in t_grid])
+    u_grid = traj.control_at(t_grid)
     return SimResult(t_start=t_start, t_end=t_end, times=t_grid,
                      states=x_grid, controls=u_grid, _segments=segments)

@@ -25,8 +25,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .sensitivity import AugmentedOcp
-from .transcription import Mesh, NlpProblem, map_tau_to_time
-from .lgr import basis
+from .transcription import Mesh, NlpProblem
 
 __all__ = [
     "LineSearchOptions",
@@ -556,20 +555,11 @@ def initial_guess(problem, mesh: Mesh) -> np.ndarray:
     """
     ocp = problem.ocp if isinstance(problem, AugmentedOcp) else problem
     na, nu = ocp.n_states, ocp.n_controls
-    orders = mesh.orders
-    C = int(np.sum(orders))
-    P = C + 1
-
-    tb = mesh.tau_boundaries
-    taus = [tb[k] + (basis(nk).support + 1.0) * 0.5 * (tb[k + 1] - tb[k])
-            for k, nk in enumerate(orders)]
-    tau_support = np.concatenate([t if k == 0 else t[1:]
-                                  for k, t in enumerate(taus)])
-    t_support = map_tau_to_time(tau_support, mesh.t0, mesh.tf)
+    t_support, t_colloc = mesh.node_times()
 
     init = ocp.initial_state
     term = ocp.terminal_state
-    states = np.zeros((P, na))
+    states = np.zeros((t_support.size, na))
     span = mesh.tf - mesh.t0
     frac = (t_support - mesh.t0) / span
     for d in range(na):
@@ -581,4 +571,4 @@ def initial_guess(problem, mesh: Mesh) -> np.ndarray:
             states[:, d] = a
         elif b is not None:
             states[:, d] = b
-    return np.concatenate([states.ravel(), np.zeros(C * nu)])
+    return np.concatenate([states.ravel(), np.zeros(t_colloc.size * nu)])

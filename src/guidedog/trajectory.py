@@ -2,9 +2,11 @@
 
 A :class:`Trajectory` stores the per-interval state/control samples of
 a collocated solution together with the mesh geometry, and evaluates
-state, control and sensitivity at arbitrary times inside its span by
-barycentric Lagrange interpolation over the owning mesh interval.
-At a stored sample time the stored sample itself is returned.
+state, control and sensitivity at a time or an array of times inside
+its span by barycentric Lagrange interpolation over the owning mesh
+interval (right-continuous at interfaces).  :meth:`Trajectory.interval_values`
+evaluates one interval's own polynomial, up to and including its right
+end.  At a stored sample time the stored sample itself is returned.
 State polynomials are supported on the N_k collocation nodes plus the
 right endpoint; control polynomials on the N_k collocation nodes only,
 evaluated across the whole interval (the standard Radau convention for
@@ -17,18 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lgr import basis
+from .lgr import barycentric_eval, basis, interval_node_times
 
 __all__ = ["Trajectory"]
-
-
-def _bary_eval(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray, tau: float):
-    delta = tau - nodes
-    hit = np.nonzero(delta == 0.0)[0]
-    if hit.size:
-        return np.array(values[hit[0]], copy=True)
-    coef = weights / delta
-    return coef @ values / np.sum(coef)
 
 
 @dataclass
@@ -51,15 +44,8 @@ class Trajectory:
     def __post_init__(self):
         self.interval_times = np.asarray(self.interval_times, dtype=float)
         if not self.state_times or not self.control_times:
-            self.state_times = []
-            self.control_times = []
-            for k, nk in enumerate(self.orders):
-                a, b = self.interval_times[k], self.interval_times[k + 1]
-                b_set = basis(nk)
-                support = a + (b_set.support + 1.0) * 0.5 * (b - a)
-                support[-1] = b   # a + (b - a) can round past b
-                self.state_times.append(support)
-                self.control_times.append(a + (b_set.nodes + 1.0) * 0.5 * (b - a))
+            self.state_times, self.control_times = interval_node_times(
+                self.interval_times, self.orders)
         # interpolation nodes: the stored times mapped to local tau by the
         # same arithmetic as a query, so a query at a stored time lands
         # exactly on its node (the canonical LGR node can be an ulp away)
@@ -76,38 +62,58 @@ class Trajectory:
     def n_total(self) -> int:
         return self.state_values[0].shape[1]
 
-    def locate(self, t: float) -> int:
-        """Index of the mesh interval containing ``t`` (right-continuous)."""
-        span = self.tf - self.t0
-        slack = 1e-9 * max(1.0, abs(span))
-        if t < self.t0 - slack or t > self.tf + slack:
+    def locate(self, t):
+        """Index of the mesh interval containing each time (right-continuous)."""
+        t = np.asarray(t, dtype=float)
+        slack = 1e-9 * max(1.0, abs(self.tf - self.t0))
+        outside = (t < self.t0 - slack) | (t > self.tf + slack)
+        if np.any(outside):
             raise ValueError(
-                f"time {t} outside trajectory span [{self.t0}, {self.tf}]"
+                f"time {t[outside]} outside trajectory span "
+                f"[{self.t0}, {self.tf}]"
             )
-        k = int(np.searchsorted(self.interval_times, t, side="right")) - 1
-        return min(max(k, 0), self.n_intervals - 1)
+        k = np.searchsorted(self.interval_times, t, side="right") - 1
+        return np.clip(k, 0, self.n_intervals - 1)
 
-    def _local_tau(self, k: int, t: float) -> float:
+    def _local_tau(self, k: int, t):
         a, b = self.interval_times[k], self.interval_times[k + 1]
         return 2.0 * (t - a) / (b - a) - 1.0
 
-    def full_state_at(self, t: float) -> np.ndarray:
-        """Full (physical + sensitivity) state row at time ``t``."""
-        k = self.locate(t)
-        b_set = basis(self.orders[k])
-        tau = np.clip(self._local_tau(k, t), -1.0, 1.0)
-        return np.atleast_1d(_bary_eval(self._state_taus[k], b_set.support_bary,
-                                        self.state_values[k], tau))
+    def interval_values(self, k: int, times, control: bool = False):
+        """Interval k's full-state (or control) polynomial at ``times``.
 
-    def state_at(self, t: float) -> np.ndarray:
-        return self.full_state_at(t)[: self.n_states]
+        Reads interval k even at its right end, where the locating
+        methods switch to k + 1; times outside it are clamped to it.
+        """
+        tau = self._local_tau(k, np.asarray(times, dtype=float)).clip(-1.0, 1.0)
+        bas = basis(self.orders[k])
+        if control:
+            return barycentric_eval(self._control_taus[k], bas.node_bary,
+                                    self.control_values[k], tau)
+        return barycentric_eval(self._state_taus[k], bas.support_bary,
+                                self.state_values[k], tau)
 
-    def control_at(self, t: float) -> np.ndarray:
-        k = self.locate(t)
-        b_set = basis(self.orders[k])
-        tau = np.clip(self._local_tau(k, t), -1.0, 1.0)
-        return np.atleast_1d(_bary_eval(self._control_taus[k], b_set.node_bary,
-                                        self.control_values[k], tau))
+    def _located(self, t, control: bool) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        owner = self.locate(flat)
+        width = (self.control_values if control else self.state_values)[0].shape[1]
+        out = np.empty((flat.size, width))
+        for k in np.unique(owner):
+            sel = owner == k
+            out[sel] = self.interval_values(k, flat[sel], control)
+        return out.reshape(t.shape + (width,))
+
+    def full_state_at(self, t) -> np.ndarray:
+        """Full (physical + sensitivity) state at a time or array of times."""
+        return self._located(t, control=False)
+
+    def state_at(self, t) -> np.ndarray:
+        return self.full_state_at(t)[..., : self.n_states]
+
+    def control_at(self, t) -> np.ndarray:
+        """Control at a time or array of times."""
+        return self._located(t, control=True)
 
     def sensitivity_at(self, t: float) -> np.ndarray:
         if self.sens_shape is None:
@@ -117,10 +123,7 @@ class Trajectory:
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Stacked full-state and control samples at the given times."""
-        times = np.asarray(times, dtype=float)
-        states = np.stack([self.full_state_at(t) for t in times])
-        controls = np.stack([self.control_at(t) for t in times])
-        return states, controls
+        return self.full_state_at(times), self.control_at(times)
 
     def terminal_state(self) -> np.ndarray:
         return self.state_values[-1][-1, : self.n_states].copy()

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lgr import basis
+from .lgr import basis, interval_node_times
 from .ocp import OcpDefinition
 from .sensitivity import AugmentedOcp
 from .trajectory import Trajectory
@@ -75,6 +75,15 @@ class Mesh:
 
     def interval_times(self) -> np.ndarray:
         return map_tau_to_time(self.tau_boundaries, self.t0, self.tf)
+
+    def node_times(self) -> tuple[np.ndarray, np.ndarray]:
+        """All P support and C = P - 1 collocation times, interfaces shared.
+
+        The support times are the collocation times plus the final bound.
+        """
+        bounds = self.interval_times()
+        colloc = np.concatenate(interval_node_times(bounds, self.orders)[1])
+        return np.append(colloc, bounds[-1]), colloc
 
     def with_time_domain(self, t0: float, tf: float) -> "Mesh":
         """Same fractions and orders, compressed onto a new horizon."""
@@ -237,12 +246,6 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     )
 
     bases = [basis(nk) for nk in orders]
-    tb = mesh.tau_boundaries
-    # tau of every collocation point in the global frame
-    tau_colloc = np.concatenate([
-        tb[k] + (bases[k].nodes + 1.0) * 0.5 * (tb[k + 1] - tb[k])
-        for k in range(K)
-    ])
 
     # all interval differentiation matrices stacked into one (C, P) block
     # band so every defect evaluates in a single product
@@ -251,8 +254,8 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         a = offsets[k]
         diff_block[a:a + orders[k], a:a + orders[k] + 1] = bases[k].diff_matrix
 
-    times = map_tau_to_time(tau_colloc, t0, tf)
-    halves = 0.5 * np.diff(map_tau_to_time(tb, t0, tf))
+    times = mesh.node_times()[1]
+    halves = 0.5 * np.diff(mesh.interval_times())
     h_point = np.repeat(halves, orders)
     w_scaled = np.concatenate([halves[k] * bases[k].weights for k in range(K)])
 

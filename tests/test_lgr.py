@@ -5,13 +5,14 @@ from scipy.special import roots_jacobi
 
 from guidedog.lgr import (
     basis,
+    barycentric_eval,
     barycentric_weights,
     differentiation_matrix,
     legendre_eval,
     lgr_nodes,
     lgr_weights,
 )
-from guidedog.trajectory import Trajectory, _bary_eval
+from guidedog.trajectory import Trajectory
 
 
 def test_legendre_low_orders():
@@ -132,8 +133,8 @@ def test_basis_cache_returns_same_object():
 
 def _interp(nodes, values, tau):
     nodes = np.asarray(nodes, dtype=float)
-    return _bary_eval(nodes, barycentric_weights(nodes),
-                      np.asarray(values, dtype=float), tau)
+    return barycentric_eval(nodes, barycentric_weights(nodes),
+                            np.asarray(values, dtype=float), tau)
 
 
 def _one_interval(n, state_fn, control_fn):

@@ -13,7 +13,7 @@ from guidedog.ocp import example_problem
 from guidedog.reporting import (RECORD_HEADER, emit_scatter_svg, format_float,
                                 write_mission_csv, write_records_csv,
                                 write_summary_csv, write_trajectory_csv)
-from guidedog.transcription import build_mesh
+from guidedog.transcription import build_mesh, extract_solution, transcribe
 
 
 def _record(run, method, epsilon, status="ok"):
@@ -150,6 +150,24 @@ def test_trajectory_csv_covers_grid_and_collocation_points(
     last = lines[-1].split(",")
     assert float(last[0]) == 50.0
     assert float(last[1]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_trajectory_csv_on_mixed_orders(tmp_path, example):
+    # intervals of different orders give support-time arrays of
+    # different lengths
+    ocp, _ = example
+    mesh = build_mesh(0.0, 50.0, 2, (3, 4))
+    nlp = transcribe(ocp, mesh)
+    traj = extract_solution(nlp, np.linspace(0.0, 1.0, nlp.n_vars))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, str(path))
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in path.read_text().splitlines()[1:]])
+    support = np.concatenate(traj.state_times)
+    assert np.array_equal(rows[:, 0], np.union1d(
+        np.linspace(0.0, 50.0, 501), support))
+    assert np.isin(support, rows[:, 0]).all()
+    assert np.array_equal(rows[:, 1:2], traj.state_at(rows[:, 0]))
 
 
 def test_augmented_trajectory_csv_names_sensitivity_columns(

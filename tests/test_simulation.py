@@ -211,3 +211,28 @@ def test_simresult_validates_grid():
     with pytest.raises(ValueError):
         SimResult(0.0, 2.0, np.array([0.0, 0.5, 1.0]),
                   np.zeros((3, 1)), np.zeros((3, 1)), [])
+
+
+def test_each_segment_flies_its_own_interval_control():
+    # xdot = u with u = 0 on [0, 1] and u = 1 on [1, 2]: a flight over
+    # interval 0 must never see interval 1's control, not even at the
+    # interface t = 1 where the integrator evaluates stages
+    seen = []
+
+    def dyn(x, u, p, t):
+        seen.append((t, float(u[0])))
+        return np.array([u[0]])
+
+    ocp = _plant(dyn, tf=2.0)
+    mesh = build_mesh(0.0, 2.0, 2, 2)
+    traj = _trajectory(ocp, mesh, np.array([[0.0], [0.0], [1.0], [1.0]]))
+    for span in ((0.0, 1.0), (1.0, 0.0)):
+        seen.clear()
+        sim = integrate(ocp, traj, np.array([0.25]), span)
+        assert any(t == 1.0 for t, _ in seen)
+        assert all(u == 0.0 for _, u in seen)
+        assert sim.terminal_state[0] == 0.25
+    seen.clear()
+    sim = integrate(ocp, traj, np.array([0.25]), (0.0, 2.0))
+    assert sim.terminal_state[0] == pytest.approx(1.25, abs=1e-12)
+    assert all(u == (0.0 if t < 1.0 else 1.0) for t, u in seen if t != 1.0)

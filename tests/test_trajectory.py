@@ -2,8 +2,15 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from guidedog.lgr import basis
+from guidedog.lgr import basis, interval_node_times
+from guidedog.ocp import example_problem
 from guidedog.trajectory import Trajectory
+from guidedog.transcription import (
+    build_mesh,
+    example_mesh,
+    extract_solution,
+    transcribe,
+)
 
 _coef = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -90,3 +97,73 @@ def test_node_times_return_stored_samples_exactly(case):
             assert np.array_equal(traj.full_state_at(t), row)
         for t, row in zip(traj.control_times[k], traj.control_values[k]):
             assert np.array_equal(traj.control_at(t), row)
+
+
+def _all_probe_times(traj, fractions):
+    """Probe times in every interval, every node time and every bound."""
+    times = [np.asarray(_probe_times(traj, k, fractions))
+             for k in range(traj.n_intervals)]
+    return np.concatenate(times + traj.state_times + traj.control_times
+                          + [traj.interval_times])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_trajectories())
+def test_array_queries_match_scalar_queries_bitwise(case):
+    traj, _, _, fractions = case
+    times = _all_probe_times(traj, fractions)
+    states = traj.full_state_at(times)
+    controls = traj.control_at(times)
+    assert states.shape == (times.size, traj.n_total)
+    assert controls.shape == (times.size, 1)
+    for t, x, u in zip(times, states, controls):
+        assert np.array_equal(traj.full_state_at(t), x)
+        assert np.array_equal(traj.control_at(t), u)
+    sampled = traj.sample(times)
+    assert np.array_equal(sampled[0], states)
+    assert np.array_equal(sampled[1], controls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_trajectories())
+def test_interface_times_are_right_continuous(case):
+    traj = case[0]
+    for k in range(1, traj.n_intervals):
+        t = traj.interval_times[k]
+        assert np.array_equal(traj.full_state_at(t), traj.state_values[k][0])
+        assert np.array_equal(traj.control_at(t), traj.control_values[k][0])
+        assert np.array_equal(traj.control_at(t),
+                              traj.interval_values(k, t, control=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_trajectories())
+def test_interval_values_reproduce_own_polynomial_at_right_end(case):
+    traj, _, control_polys, _ = case
+    for k, c in enumerate(control_polys):
+        a, b = traj.interval_times[k], traj.interval_times[k + 1]
+        assert np.array_equal(traj.interval_values(k, b),
+                              traj.state_values[k][-1])
+        scale = 1.0 + float(np.max(np.abs(c(np.linspace(a, b, 11)))))
+        ends = traj.interval_values(k, np.array([a, b]), control=True)
+        assert ends.shape == (2, 1)
+        assert abs(ends[1, 0] - c(b)) <= 1e-9 * scale
+
+
+def test_extracted_node_times_come_from_the_shared_function():
+    ocp, _ = example_problem()
+    for mesh in (example_mesh(), build_mesh(0.0, 50.0, 3, (3, 7, 4)),
+                 build_mesh(0.0, 50.0, 2, (3, 4), fractions=[-1.0, 0.3, 1.0])):
+        nlp = transcribe(ocp, mesh)
+        traj = extract_solution(nlp, np.zeros(nlp.n_vars))
+        support, colloc = interval_node_times(mesh.interval_times(),
+                                              mesh.orders)
+        assert len(traj.state_times) == len(support) == mesh.n_intervals
+        for got, want in zip(traj.state_times, support):
+            assert np.array_equal(got, want)
+        for got, want in zip(traj.control_times, colloc):
+            assert np.array_equal(got, want)
+        flat_support, flat_colloc = mesh.node_times()
+        assert np.array_equal(flat_colloc, np.concatenate(colloc))
+        assert np.array_equal(flat_support,
+                              np.unique(np.concatenate(support)))
