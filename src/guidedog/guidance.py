@@ -11,9 +11,9 @@ problem.
 
 Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
-previous solution evaluated, in one array call each for states and
-controls, at that mesh's node times (``Mesh.node_times``).  Sensitivity
-staging reads a trajectory's own node times.  Seeding the solver
+previous solution evaluated at that mesh's node times
+(``Mesh.node_times``).  Sensitivity staging runs along a trajectory's
+own intervals and node times.  Seeding the solver
 with the Lagrangian Hessian evaluated at the warm point makes each
 re-solve a Newton polish: at the nominal parameter every cycle
 converges in one or two iterations.
