@@ -197,17 +197,8 @@ def _jac_profiles(ocp: OcpDefinition, traj: Trajectory, k: int,
     count = times.size
     n, m = ocp.n_states, ocp.n_params
     p = ocp.nominal_params
-    if ocp.vectorized:
-        A = np.asarray(ocp.jac_x(x, u, p, times), dtype=float).reshape(count, n, n)
-        B = np.asarray(ocp.jac_p(x, u, p, times), dtype=float).reshape(count, n, m)
-        return A, B
-    A = np.empty((count, n, n))
-    B = np.empty((count, n, m))
-    for i in range(count):
-        A[i] = np.asarray(ocp.jac_x(x[i], u[i], p, times[i]),
-                          dtype=float).reshape(n, n)
-        B[i] = np.asarray(ocp.jac_p(x[i], u[i], p, times[i]),
-                          dtype=float).reshape(n, m)
+    A = np.asarray(ocp.jac_x(x, u, p, times), dtype=float).reshape(count, n, n)
+    B = np.asarray(ocp.jac_p(x, u, p, times), dtype=float).reshape(count, n, m)
     return A, B
 
 

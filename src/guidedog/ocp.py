@@ -1,7 +1,7 @@
 """Bolza optimal control problem definitions.
 
 An :class:`OcpDefinition` bundles dynamics, Jacobian callbacks, cost
-terms, boundary conditions and nominal parameters.  The module also
+terms, endpoint pins and nominal parameters.  The module also
 ships the built-in cubic example problem
 
     min J = 1/2 integral (x^2 + u^2) dt
@@ -12,7 +12,7 @@ desensitization machinery targets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "JacobianReport",
     "validate_jacobians",
     "example_problem",
-    "fd_jacobian_callbacks",
 ]
 
 
@@ -37,15 +36,20 @@ def _as_float_array(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OcpDefinition:
-    """A Bolza problem in Mayer + Lagrange form.
+    """A Bolza problem in Mayer + Lagrange form with pinned endpoints.
 
     Callbacks must be pure.  ``dynamics(x, u, p, t)`` returns the state
     derivative; ``jac_x`` and ``jac_p`` return A = df/dx (n x n) and
-    B = df/dp (n x m).  ``initial_state`` / ``terminal_state`` pin state
-    components at the endpoints (NaN entries are free); an additional
-    general boundary function b(x0, t0, xf, tf) with lower/upper bounds
-    is supported for coupled conditions.  With ``vectorized`` set, the
-    dynamics/cost callbacks also accept stacked (P, n) inputs.
+    B = df/dp (n x m); ``running_cost(x, u, t)`` returns the integrand.
+    Each accepts either a single point, x of shape (n,), or a stacked
+    batch of P points, x of shape (P, n) with u (P, n_u) and t (P,),
+    returning one result per row: transcription always calls them with
+    batches, the truth simulation with single points.
+    ``terminal_cost(x0, t0, xf, tf)`` takes the two endpoint states.
+    ``initial_state`` / ``terminal_state`` pin state components at the
+    endpoints (NaN entries are free); the pins and the collocation
+    defects are the problem's only constraints, all equalities.
+    ``vectorized`` is accepted for older callers and must be true.
     """
 
     n_states: int
@@ -60,15 +64,11 @@ class OcpDefinition:
     time_domain: tuple[float, float]
     initial_state: Optional[np.ndarray] = None
     terminal_state: Optional[np.ndarray] = None
-    boundary: Optional[Callable] = None
-    boundary_lower: Optional[np.ndarray] = None
-    boundary_upper: Optional[np.ndarray] = None
-    path_constraint: Optional[Callable] = None
-    path_lower: Optional[np.ndarray] = None
-    path_upper: Optional[np.ndarray] = None
-    vectorized: bool = False
+    vectorized: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, vectorized):
+        if not vectorized:
+            raise ValueError("callbacks must accept stacked (P, n) batches")
         if self.n_states < 1 or self.n_controls < 0 or self.n_params < 0:
             raise ValueError("state/control/parameter counts out of range")
         t0, tf = self.time_domain
@@ -88,24 +88,6 @@ class OcpDefinition:
                 if arr.size != self.n_states:
                     raise ValueError(f"{name} has {arr.size} entries, expected {self.n_states}")
                 object.__setattr__(self, name, arr)
-        if (self.boundary is None) != (self.boundary_lower is None):
-            raise ValueError("boundary callback and bounds must be given together")
-        if self.boundary is not None:
-            lo = _as_float_array(self.boundary_lower, "boundary_lower")
-            hi = _as_float_array(self.boundary_upper, "boundary_upper")
-            if lo.size != hi.size:
-                raise ValueError("boundary bound vectors differ in length")
-            if np.any(lo > hi):
-                raise ValueError("boundary lower bounds exceed upper bounds")
-            object.__setattr__(self, "boundary_lower", lo)
-            object.__setattr__(self, "boundary_upper", hi)
-        if self.path_constraint is not None:
-            lo = _as_float_array(self.path_lower, "path_lower")
-            hi = _as_float_array(self.path_upper, "path_upper")
-            if lo.size != hi.size or np.any(lo > hi):
-                raise ValueError("invalid path-constraint bounds")
-            object.__setattr__(self, "path_lower", lo)
-            object.__setattr__(self, "path_upper", hi)
 
     def with_initial_state(self, x0, time_domain=None) -> "OcpDefinition":
         """Copy of this problem restarted from ``x0`` (used by guidance)."""
@@ -208,37 +190,10 @@ def validate_jacobians(ocp: OcpDefinition, sample_points: Sequence, p=None,
     return JacobianReport(worst, worst_name, len(sample_points))
 
 
-def fd_jacobian_callbacks(dynamics, n_states: int, n_params: int,
-                          scale: float = 1e-7):
-    """Forward-difference fallback (jac_x, jac_p) for problems without analytic ones."""
-
-    def jac_x(x, u, p, t):
-        f0 = np.asarray(dynamics(x, u, p, t), dtype=float)
-        cols = []
-        for j in range(n_states):
-            h = scale * (1.0 + abs(x[j]))
-            xp = np.array(x, dtype=float)
-            xp[j] += h
-            cols.append((np.asarray(dynamics(xp, u, p, t)) - f0) / h)
-        return np.stack(cols, axis=1)
-
-    def jac_p(x, u, p, t):
-        f0 = np.asarray(dynamics(x, u, p, t), dtype=float)
-        cols = []
-        for j in range(n_params):
-            h = scale * (1.0 + abs(p[j]))
-            pp = np.array(p, dtype=float)
-            pp[j] += h
-            cols.append((np.asarray(dynamics(x, u, pp, t)) - f0) / h)
-        return np.stack(cols, axis=1)
-
-    return jac_x, jac_p
-
-
 # --- built-in example problem ---------------------------------------------
 #
-# All callbacks are module-level (picklable for worker pools) and accept
-# either single points (n,) or stacked batches (P, n).
+# Every callback meets the OcpDefinition contract: a single point (n,)
+# or a stacked batch (P, n) in, one result per point out.
 
 def _example_dynamics(x, u, p, t):
     return -p[0] ** 2 * x**3 + p[0] * u
@@ -305,6 +260,5 @@ def example_problem(alpha: float = 2.0):
         time_domain=(0.0, 50.0),
         initial_state=np.array([1.5]),
         terminal_state=np.array([1.0]),
-        vectorized=True,
     )
     return ocp, _ExampleSpecTemplate(alpha)

@@ -127,26 +127,6 @@ class _AugmentedTerminalCost:
 
 
 @dataclass(frozen=True)
-class _ProjectedBoundary:
-    base_boundary: object
-    n: int
-
-    def __call__(self, xa0, t0, xaf, tf):
-        return self.base_boundary(xa0[: self.n], t0, xaf[: self.n], tf)
-
-
-@dataclass(frozen=True)
-class _ProjectedPathConstraint:
-    base_path: object
-    n: int
-
-    def __call__(self, xa, u, t):
-        xa = np.asarray(xa)
-        x = xa[:, : self.n] if xa.ndim == 2 else xa[: self.n]
-        return self.base_path(x, u, t)
-
-
-@dataclass(frozen=True)
 class AugmentedOcp:
     """An OCP whose state carries the n x m sensitivity function.
 
@@ -211,9 +191,6 @@ def augment(ocp: OcpDefinition, spec: DesensitizationSpec,
         terminal_cost=_AugmentedTerminalCost(ocp, spec),
         initial_state=np.concatenate((init, vec_sensitivity(s0))),
         terminal_state=np.concatenate((term, np.full(n * m, np.nan))),
-        boundary=None if ocp.boundary is None else _ProjectedBoundary(ocp.boundary, n),
-        path_constraint=(None if ocp.path_constraint is None
-                         else _ProjectedPathConstraint(ocp.path_constraint, n)),
     )
     return AugmentedOcp(base=ocp, ocp=aug, spec=spec, s0=s0,
                         n_x=n, n_param=m, n_aug=n + n * m)

@@ -2,12 +2,13 @@
 
 The solver handles problems of the form
 
-    min f(z)   s.t.   lower <= c(z) <= upper,
+    min f(z)   s.t.   c(z) = lower,
 
-where rows with ``lower == upper`` are equalities.  Search directions
-come from a quadratic subproblem (active-set treatment for inequality
-rows), globalized by a backtracking line search on the l1
-exact-penalty merit function.  The subproblem Hessian is a damped
+the only shape an :class:`NlpProblem` admits (``lower == upper`` on
+every row).  Each search direction comes from one KKT solve of the
+quadratic subproblem on all rows, globalized by a backtracking line
+search on the l1 exact-penalty merit function with a second-order
+correction of the full step.  The subproblem Hessian is a damped
 quasi-Newton matrix; once the iterate is local -- the previous step
 was a full step and the constraint violation is at most 1e-6 -- the
 exact Lagrangian Hessian of the problem, when it provides one, takes
@@ -111,12 +112,10 @@ class NlpSolution:
 
 
 def constraint_violation(nlp: NlpProblem, c: np.ndarray) -> float:
-    """Max-norm bound violation of a constraint vector."""
+    """Max-norm of the constraint residual c - lower."""
     if c.size == 0:
         return 0.0
-    over = np.maximum(c - nlp.upper, 0.0)
-    under = np.maximum(nlp.lower - c, 0.0)
-    return float(np.max(np.maximum(over, under)))
+    return float(np.max(np.abs(c - nlp.lower)))
 
 
 def kkt_residual(nlp: NlpProblem, point: np.ndarray,
@@ -134,53 +133,28 @@ def kkt_residual(nlp: NlpProblem, point: np.ndarray,
     return max(float(np.max(np.abs(stat))), constraint_violation(nlp, c))
 
 
-def estimate_multipliers(nlp: NlpProblem, point: np.ndarray,
-                         active_tolerance: float = 1e-7) -> np.ndarray:
+def estimate_multipliers(nlp: NlpProblem, point: np.ndarray) -> np.ndarray:
     """Least-squares multiplier estimate at an arbitrary point.
 
-    Minimizes the stationarity residual over the equality rows and any
-    inequality rows within ``active_tolerance`` of a bound (others get
-    zero).  Near a solution this reproduces the optimal multipliers and
-    makes a good warm-start companion to a Hessian seed.
+    Minimizes the stationarity residual |g + J' lambda| over all rows.
+    Near a solution this reproduces the optimal multipliers and makes a
+    good warm-start companion to a Hessian seed.
     """
     z = np.asarray(point, dtype=float)
-    c = np.asarray(nlp.constraints(z), dtype=float)
-    J = nlp.jacobian(z)
-    g = nlp.gradient(z)
-    return _least_squares_multipliers(g, J, nlp.lower == nlp.upper,
-                                      nlp.lower, nlp.upper, c,
-                                      active_tolerance)
+    return _least_squares_multipliers(nlp.gradient(z), nlp.jacobian(z))
 
 
-def _least_squares_multipliers(g, J, is_equality, lower, upper, c, act_tol):
-    """Multiplier estimate minimizing the stationarity residual.
-
-    Only equality rows and inequality rows near an active bound carry
-    nonzero multipliers; inequality multipliers are clamped to the
-    sign their side admits (lower active <= 0, upper active >= 0).
-    """
-    m = c.size
-    lam = np.zeros(m)
-    if m == 0:
-        return lam
-    at_lower = ~is_equality & (c <= lower + act_tol)
-    at_upper = ~is_equality & (c >= upper - act_tol)
-    active = np.nonzero(is_equality | at_lower | at_upper)[0]
-    if active.size == 0:
-        return lam
-    sol, *_ = np.linalg.lstsq(J[active].T, -g, rcond=None)
-    for val, row in zip(sol, active):
-        if not is_equality[row]:
-            if at_lower[row] and not at_upper[row]:
-                val = min(val, 0.0)
-            elif at_upper[row] and not at_lower[row]:
-                val = max(val, 0.0)
-        lam[row] = val
-    return lam
+def _least_squares_multipliers(g, J):
+    if J.shape[0] == 0:
+        return np.zeros(0)
+    return np.linalg.lstsq(J.T, -g, rcond=None)[0]
 
 
 def _solve_kkt(B, A, g, b):
-    """Solve the equality-constrained QP KKT system."""
+    """Solve the equality-constrained QP min 0.5 d'Bd + g'd s.t. A d = b.
+
+    Returns the step and the multipliers of the rows of A.
+    """
     n = B.shape[0]
     ma = A.shape[0]
     M = np.zeros((n + ma, n + ma))
@@ -202,86 +176,11 @@ def _solve_kkt(B, A, g, b):
     return sol[:n], sol[n:]
 
 
-def _solve_qp(B, g, J, c, lower, upper, is_equality):
-    """Active-set solution of the SQP quadratic subproblem.
-
-    Minimizes 0.5 d'Bd + g'd subject to the linearized constraints
-    lower - c <= J d <= upper - c (rows with equal bounds exactly).
-    Returns the step, a full-length multiplier vector, and the final
-    working set as a {row: side} mapping (side 0 equality, -1 lower,
-    +1 upper).
-    """
-    m = c.size
-    if m == 0:
-        try:
-            d = np.linalg.solve(B, -g)
-        except np.linalg.LinAlgError:
-            d, *_ = np.linalg.lstsq(B, -g, rcond=None)
-        return d, np.zeros(0), {}
-
-    lo_gap = lower - c
-    up_gap = upper - c
-    # working set: row -> side (0 equality, -1 lower, +1 upper)
-    working = {int(i): 0 for i in np.nonzero(is_equality)[0]}
-    for i in np.nonzero(~is_equality)[0]:
-        if lo_gap[i] > 0.0:
-            working[int(i)] = -1
-        elif up_gap[i] < 0.0:
-            working[int(i)] = +1
-
-    max_rounds = 3 * (m + 5)
-    d = np.zeros(B.shape[0])
-    lam_w = np.zeros(0)
-    rows = []
-    for _ in range(max_rounds):
-        rows = sorted(working)
-        A = J[rows]
-        b = np.array([
-            lo_gap[i] if working[i] <= 0 else up_gap[i] for i in rows
-        ])
-        d, lam_w = _solve_kkt(B, A, g, b)
-
-        # most violated inactive side, if any
-        resid = J @ d
-        worst, worst_row, worst_side = 0.0, -1, 0
-        for i in np.nonzero(~is_equality)[0]:
-            i = int(i)
-            if i in working:
-                continue
-            v_lo = lo_gap[i] - resid[i]
-            v_up = resid[i] - up_gap[i]
-            if v_lo > worst:
-                worst, worst_row, worst_side = v_lo, i, -1
-            if v_up > worst:
-                worst, worst_row, worst_side = v_up, i, +1
-        if worst > 1e-10:
-            working[worst_row] = worst_side
-            continue
-
-        # wrong-signed multiplier on a working inequality side
-        worst_mag, drop_row = 0.0, -1
-        for val, i in zip(lam_w, rows):
-            side = working[i]
-            if side == -1 and val > worst_mag:
-                worst_mag, drop_row = val, i
-            elif side == +1 and -val > worst_mag:
-                worst_mag, drop_row = -val, i
-        if worst_mag > 1e-12:
-            del working[drop_row]
-            continue
-        break
-
-    lam = np.zeros(m)
-    for val, i in zip(lam_w, rows):
-        lam[i] = val
-    return d, lam, working
-
-
 def _newton_inertia_ok(H, Je):
     """True when the KKT matrix [H Je'; Je 0] has inertia (n, me, 0).
 
     That holds exactly when Je has full row rank and H is positive
-    definite on its null space, so the equality-constrained QP on H
+    definite on its null space, so the QP on H
     has a unique minimizer.  The inertia is counted from the 1x1 and
     2x2 pivot blocks of a Bunch-Kaufman LDL' factorization (Sylvester's
     law of inertia); pivots within rounding of zero count as zero.
@@ -347,9 +246,7 @@ def _merit(f, viol, nu):
 def _l1_violation(nlp, c):
     if c.size == 0:
         return 0.0
-    over = np.maximum(c - nlp.upper, 0.0)
-    under = np.maximum(nlp.lower - c, 0.0)
-    return float(np.sum(over + under))
+    return float(np.sum(np.abs(c - nlp.lower)))
 
 
 def solve(nlp: NlpProblem, guess: np.ndarray,
@@ -358,13 +255,15 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
           multipliers0: Optional[np.ndarray] = None) -> NlpSolution:
     """Run SQP from ``guess``; deterministic for identical inputs.
 
-    Steps use the damped quasi-Newton matrix until the iterate is local:
-    after a full step (alpha = 1) to a point with constraint violation
-    <= 1e-6, each QP is built on ``nlp.lagrangian_hessian`` at the
-    current point and multipliers instead, provided the problem has
-    that hook and the KKT matrix [H Je'; Je 0] over the equality rows
-    has inertia (n, me, 0).  Otherwise the quasi-Newton matrix is used;
-    it is updated after every step either way.
+    Each step solves the KKT system of the quadratic subproblem on all
+    rows at once (every row is an equality).  Steps use the damped
+    quasi-Newton matrix until the iterate is local: after a full step
+    (alpha = 1) to a point with constraint violation <= 1e-6, each QP
+    is built on ``nlp.lagrangian_hessian`` at the current point and
+    multipliers instead, provided the problem has that hook and the
+    KKT matrix [H J'; J 0] has inertia (n, m, 0).  Otherwise the
+    quasi-Newton matrix is used; it is updated after every step either
+    way.
 
     ``hessian0``/``multipliers0`` seed the quasi-Newton matrix and the
     merit penalty from an earlier, closely related solve.
@@ -375,7 +274,6 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
         raise ValueError(f"guess has {z.size} entries, expected {nlp.n_vars}")
     n = nlp.n_vars
     m = nlp.n_constraints
-    is_equality = nlp.lower == nlp.upper
 
     if hessian0 is not None:
         B = np.asarray(hessian0, dtype=float).copy()
@@ -389,7 +287,6 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
         nu = max(nu, 2.0 * float(np.max(np.abs(multipliers0))))
 
     ls = opts.line_search
-    act_tol = max(10.0 * opts.kkt_tolerance, 1e-7)
     eps = np.finfo(float).eps
 
     f = float(nlp.objective(z))
@@ -416,8 +313,7 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
 
     for it in range(opts.max_iterations + 1):
         if lam_check is None:
-            lam_check = _least_squares_multipliers(
-                g, J, is_equality, nlp.lower, nlp.upper, c, act_tol)
+            lam_check = _least_squares_multipliers(g, J)
         stat = g + J.T @ lam_check if m else g
         viol_inf = constraint_violation(nlp, c)
         kkt = max(float(np.max(np.abs(stat))) if n else 0.0, viol_inf)
@@ -440,11 +336,10 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
                 and nlp.lagrangian_hessian is not None):
             H_exact = np.asarray(nlp.lagrangian_hessian(z, lam_check),
                                  dtype=float)
-            if _newton_inertia_ok(H_exact, J[is_equality]):
+            if _newton_inertia_ok(H_exact, J):
                 H = H_exact
 
-        d, lam_qp, working = _solve_qp(H, g, J, c, nlp.lower, nlp.upper,
-                                       is_equality)
+        d, lam_qp = _solve_kkt(H, J, g, nlp.lower - c)
         step_scale = float(np.max(np.abs(d))) if n else 0.0
         if not np.all(np.isfinite(d)) or step_scale > 1e12:
             status = "line-search-failure"
@@ -483,27 +378,21 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             if tiny or phi_new <= phi0 + ls.sufficient_decrease * alpha * dphi:
                 accepted = True
                 break
-            if backtrack == 0 and working:
+            if backtrack == 0 and m:
                 # second-order correction: retry the full step with the
-                # curvature-induced violation of the working rows removed
-                rows_w = sorted(working)
-                target = np.array([
-                    nlp.lower[i] if working[i] <= 0 else nlp.upper[i]
-                    for i in rows_w
-                ])
-                resid = c_new[rows_w] - target
-                Jw = J[rows_w]
+                # curvature-induced constraint violation removed
+                resid = c_new - nlp.lower
                 try:
                     # minimum-norm correction via the normal equations;
-                    # ill-conditioned working sets fall back to lstsq
-                    corr = Jw.T @ np.linalg.solve(Jw @ Jw.T, -resid)
+                    # ill-conditioned Jacobians fall back to lstsq
+                    corr = J.T @ np.linalg.solve(J @ J.T, -resid)
                     ok = np.all(np.isfinite(corr)) and (
-                        np.linalg.norm(Jw @ corr + resid)
+                        np.linalg.norm(J @ corr + resid)
                         <= 1e-8 * (1.0 + np.linalg.norm(resid)))
                 except np.linalg.LinAlgError:
                     ok = False
                 if not ok:
-                    corr, *_ = np.linalg.lstsq(Jw, -resid, rcond=None)
+                    corr, *_ = np.linalg.lstsq(J, -resid, rcond=None)
                 z_soc = z + d + corr
                 f_soc = float(nlp.objective(z_soc))
                 c_soc = nlp.constraints(z_soc)

@@ -10,7 +10,8 @@ constraints).  Defect constraints per interval read
 
 where h_k is the interval half-width in seconds, and the cost is the
 Mayer term plus an LGR quadrature of the running cost with the same
-half-width scaling.
+half-width scaling.  The defects and the endpoint pins are the only
+constraint rows, so every row of the NLP is an equality.
 """
 from __future__ import annotations
 
@@ -174,9 +175,11 @@ def pack_values(layout: Layout, states: np.ndarray,
 
 @dataclass
 class NlpProblem:
-    """Dense NLP: objective, bounded constraint vector, and metadata.
+    """Dense equality-constrained NLP: min f(z) s.t. c(z) = lower.
 
-    Rows with ``lower == upper`` are equalities.  ``gradient(z)`` and
+    ``lower`` and ``upper`` must be equal row by row; a row with
+    ``lower != upper`` (an inequality) raises ValueError, because the
+    solver treats every row as an equality.  ``gradient(z)`` and
     ``jacobian(z)`` return the objective gradient and the dense
     constraint Jacobian; the solver has no finite-difference fallback.
     ``lagrangian_hessian(z, multipliers)``, when present, returns the
@@ -198,12 +201,19 @@ class NlpProblem:
     mesh: Optional[Mesh] = None
     source: Optional[object] = None      # OcpDefinition or AugmentedOcp
 
+    def __post_init__(self):
+        if self.lower.shape != self.upper.shape:
+            raise ValueError("lower and upper bounds differ in length")
+        if np.any(self.lower != self.upper):
+            raise ValueError("every constraint row must be an equality "
+                             "(lower == upper)")
+
     @property
     def n_constraints(self) -> int:
         return self.lower.size
 
 
-def _pin_indices(values: Optional[np.ndarray], n: int):
+def _pin_indices(values: Optional[np.ndarray]):
     if values is None:
         return np.array([], dtype=int), np.array([])
     values = np.asarray(values, dtype=float)
@@ -214,11 +224,14 @@ def _pin_indices(values: Optional[np.ndarray], n: int):
 def transcribe(problem, mesh: Mesh) -> NlpProblem:
     """Transcribe an :class:`OcpDefinition` or :class:`AugmentedOcp`.
 
-    The mesh must match the problem's (fixed) time domain.  The NLP
-    carries derivative hooks built on the transcription's fixed
-    sparsity: the objective gradient, the constraint Jacobian and the
-    Lagrangian Hessian, each assembled from per-point blocks (the
-    problem's ``jac_x`` where given, batched differences otherwise).
+    The mesh must match the problem's (fixed) time domain.  Rows are
+    the collocation defects, then the initial and terminal pins, all
+    equalities with zero right-hand side.  Every callback is evaluated
+    on the stacked batch of collocation points.  The NLP carries
+    derivative hooks built on the transcription's fixed sparsity: the
+    objective gradient, the constraint Jacobian and the Lagrangian
+    Hessian, each assembled from per-point blocks (the problem's
+    ``jac_x`` where given, batched differences otherwise).
     """
     source = problem
     ocp = problem.ocp if isinstance(problem, AugmentedOcp) else problem
@@ -259,56 +272,27 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     h_point = np.repeat(halves, orders)
     w_scaled = np.concatenate([halves[k] * bases[k].weights for k in range(K)])
 
-    init_idx, init_vals = _pin_indices(ocp.initial_state, na)
-    term_idx, term_vals = _pin_indices(ocp.terminal_state, na)
-    n_path = ocp.path_lower.size if ocp.path_constraint is not None else 0
-    n_bnd = ocp.boundary_lower.size if ocp.boundary is not None else 0
+    init_idx, init_vals = _pin_indices(ocp.initial_state)
+    term_idx, term_vals = _pin_indices(ocp.terminal_state)
 
     p_nom = ocp.nominal_params
 
     def eval_rates(X, U, times):
-        if ocp.vectorized:
-            out = np.asarray(ocp.dynamics(X, U, p_nom, times), dtype=float)
-            return out.reshape(X.shape[0], na)
-        return np.stack([
-            np.atleast_1d(np.asarray(ocp.dynamics(X[i], U[i], p_nom, times[i]),
-                                     dtype=float))
-            for i in range(X.shape[0])
-        ])
+        out = np.asarray(ocp.dynamics(X, U, p_nom, times), dtype=float)
+        return out.reshape(X.shape[0], na)
 
     def eval_running(X, U, times):
         if ocp.running_cost is None:
             return np.zeros(X.shape[0])
-        if ocp.vectorized:
-            return np.asarray(ocp.running_cost(X, U, times),
-                              dtype=float).reshape(-1)
-        return np.array([
-            float(ocp.running_cost(X[i], U[i], times[i]))
-            for i in range(X.shape[0])
-        ])
-
-    def eval_path(X, U, times):
-        if ocp.vectorized:
-            out = np.asarray(ocp.path_constraint(X, U, times), dtype=float)
-            return out.reshape(X.shape[0], n_path)
-        return np.stack([
-            np.atleast_1d(np.asarray(ocp.path_constraint(X[i], U[i], times[i]),
-                                     dtype=float))
-            for i in range(X.shape[0])
-        ])
+        return np.asarray(ocp.running_cost(X, U, times),
+                          dtype=float).reshape(-1)
 
     def constraints(z: np.ndarray) -> np.ndarray:
         X, U = layout.split(z)
         F = eval_rates(X[:-1], U, times)
-        parts = [(diff_block @ X - h_point[:, None] * F).ravel()]
-        parts.append(X[0, init_idx] - init_vals)
-        parts.append(X[-1, term_idx] - term_vals)
-        if n_bnd:
-            parts.append(np.atleast_1d(np.asarray(
-                ocp.boundary(X[0], t0, X[-1], tf), dtype=float)))
-        if n_path:
-            parts.append(eval_path(X[:-1], U, times).ravel())
-        return np.concatenate(parts)
+        return np.concatenate([(diff_block @ X - h_point[:, None] * F).ravel(),
+                               X[0, init_idx] - init_vals,
+                               X[-1, term_idx] - term_vals])
 
     def objective(z: np.ndarray) -> float:
         X, U = layout.split(z)
@@ -362,17 +346,16 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     def lagrangian_hessian(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
         """Exact Hessian of objective(z) + multipliers @ constraints(z).
 
-        Quadrature cost, collocated dynamics, and path rows are all
-        separable across collocation points, so the Hessian is a sum of
-        per-point (na + nu) blocks plus one endpoint block for Mayer and
-        boundary terms; each stencil evaluation below is vectorized over
-        every point at once.  The differencing part of the defects is
-        linear and drops out.
+        Quadrature cost and collocated dynamics are separable across
+        collocation points, so the Hessian is a sum of per-point
+        (na + nu) blocks plus one endpoint block for the Mayer term; each
+        stencil evaluation below is vectorized over every point at once.
+        The differencing part of the defects and the pins are linear and
+        drop out.
         """
         X, U = layout.split(z)
         lam = np.asarray(multipliers, dtype=float)
         lam_defect = lam[: C * na].reshape(C, na)
-        lam_path = lam[path_rows].reshape(C, n_path) if n_path else None
 
         def point_scalar(V):
             Xc, Uc = V[:, :na], V[:, na:]
@@ -380,8 +363,6 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
                           * eval_rates(Xc, Uc, times), axis=1)
             if ocp.running_cost is not None:
                 val = val + w_scaled * eval_running(Xc, Uc, times)
-            if n_path:
-                val = val + np.sum(lam_path * eval_path(Xc, Uc, times), axis=1)
             return val
 
         nd = na + nu
@@ -414,20 +395,13 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
             for b in range(nd):
                 hess[var_of_dim[a], var_of_dim[b]] += blocks[:, a, b]
 
-        if ocp.terminal_cost is not None or n_bnd:
-            lam_bnd = lam[bnd_rows]
+        if ocp.terminal_cost is not None:
             idx = np.concatenate([np.arange(na), (P - 1) * na + np.arange(na)])
             v0 = z[idx].copy()
             estep = hess_step * (1.0 + np.abs(v0))
 
             def endpoint_scalar(v):
-                val = 0.0
-                if ocp.terminal_cost is not None:
-                    val += float(ocp.terminal_cost(v[:na], t0, v[na:], tf))
-                if n_bnd:
-                    val += float(lam_bnd @ np.atleast_1d(np.asarray(
-                        ocp.boundary(v[:na], t0, v[na:], tf), dtype=float)))
-                return val
+                return float(ocp.terminal_cost(v[:na], t0, v[na:], tf))
 
             def eshift(*moves):
                 v = v0.copy()
@@ -450,30 +424,15 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
             hess[np.ix_(idx, idx)] += block
         return hess
 
-    # constraint rows: defects, initial pins, terminal pins, boundary, path
-    row = C * na
-    init_rows = np.arange(row, row + init_idx.size)
-    row += init_idx.size
-    term_rows = np.arange(row, row + term_idx.size)
-    row += term_idx.size
-    bnd_rows = np.arange(row, row + n_bnd)
-    row += n_bnd
-    path_rows = np.arange(row, row + C * n_path)
-    n_rows = row + C * n_path
-
-    lower = np.zeros(n_rows)
-    upper = np.zeros(n_rows)
-    if n_bnd:
-        lower[bnd_rows] = ocp.boundary_lower
-        upper[bnd_rows] = ocp.boundary_upper
-    if n_path:
-        lower[path_rows] = np.tile(ocp.path_lower, C)
-        upper[path_rows] = np.tile(ocp.path_upper, C)
+    # constraint rows: defects, initial pins, terminal pins
+    init_rows = C * na + np.arange(init_idx.size)
+    term_rows = C * na + init_idx.size + np.arange(term_idx.size)
+    n_rows = C * na + init_idx.size + term_idx.size
 
     # --- constraint Jacobian ----------------------------------------------
     # The differencing part of the defects and the state pins are linear in
     # z, so those entries are assembled once into a template; each call
-    # fills in only the dynamics, path, and boundary blocks.
+    # fills in only the dynamics blocks.
     jac_static = np.zeros((n_rows, n_vars))
     for k in range(K):
         a = offsets[k]
@@ -487,59 +446,32 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         jac_static[init_rows[j], d] = 1.0
     for j, d in enumerate(term_idx):
         jac_static[term_rows[j], (P - 1) * na + d] = 1.0
-    path_row_base = path_rows[::n_path] if n_path else None
     jac_step = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-    def point_jacobians(fun, width, Xc, U, times):
-        """Central differences of a per-point map w.r.t. (x, u), batched."""
-        out = np.empty((C, width, na + nu))
-        for d in range(na):
-            h = jac_step * (1.0 + np.abs(Xc[:, d]))
-            hi, lo = Xc.copy(), Xc.copy()
-            hi[:, d] += h
-            lo[:, d] -= h
-            out[:, :, d] = (fun(hi, U, times) - fun(lo, U, times)) \
-                / (2.0 * h)[:, None]
+    def dynamics_point_jacobians(Xc, U, times):
+        """Per-point df/d(x, u), batched over every point: the problem's
+        ``jac_x`` where given, central differences otherwise."""
+        out = np.empty((C, na, na + nu))
+        if ocp.jac_x is not None:
+            out[:, :, :na] = np.asarray(
+                ocp.jac_x(Xc, U, p_nom, times), dtype=float
+            ).reshape(C, na, na)
+        else:
+            for d in range(na):
+                h = jac_step * (1.0 + np.abs(Xc[:, d]))
+                hi, lo = Xc.copy(), Xc.copy()
+                hi[:, d] += h
+                lo[:, d] -= h
+                out[:, :, d] = (eval_rates(hi, U, times)
+                                - eval_rates(lo, U, times)) / (2.0 * h)[:, None]
         for d in range(nu):
             h = jac_step * (1.0 + np.abs(U[:, d]))
             hi, lo = U.copy(), U.copy()
             hi[:, d] += h
             lo[:, d] -= h
-            out[:, :, na + d] = (fun(Xc, hi, times) - fun(Xc, lo, times)) \
-                / (2.0 * h)[:, None]
+            out[:, :, na + d] = (eval_rates(Xc, hi, times)
+                                 - eval_rates(Xc, lo, times)) / (2.0 * h)[:, None]
         return out
-
-    def dynamics_point_jacobians(Xc, U, times):
-        out = point_jacobians(eval_rates, na, Xc, U, times)
-        if ocp.jac_x is not None:
-            if ocp.vectorized:
-                out[:, :, :na] = np.asarray(
-                    ocp.jac_x(Xc, U, p_nom, times), dtype=float
-                ).reshape(C, na, na)
-            else:
-                for i in range(C):
-                    out[i, :, :na] = np.asarray(
-                        ocp.jac_x(Xc[i], U[i], p_nom, times[i]), dtype=float
-                    ).reshape(na, na)
-        return out
-
-    def boundary_rows_jacobian(J, X):
-        def bval(x0, xf):
-            return np.atleast_1d(np.asarray(
-                ocp.boundary(x0, t0, xf, tf), dtype=float))
-
-        for point in (0, P - 1):
-            row_vals = X[point].copy()
-            for d in range(na):
-                h = jac_step * (1.0 + abs(row_vals[d]))
-                hi, lo = row_vals.copy(), row_vals.copy()
-                hi[d] += h
-                lo[d] -= h
-                if point == 0:
-                    delta = bval(hi, X[-1]) - bval(lo, X[-1])
-                else:
-                    delta = bval(X[0], hi) - bval(X[0], lo)
-                J[bnd_rows, point * na + d] = delta / (2.0 * h)
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         X, U = layout.split(z)
@@ -553,24 +485,14 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
                 J[rows, q * na + d] -= h_point * Fj[:, i, d]
             for d in range(nu):
                 J[rows, P * na + q * nu + d] -= h_point * Fj[:, i, na + d]
-        if n_path:
-            Gj = point_jacobians(eval_path, n_path, Xc, U, times)
-            for m_i in range(n_path):
-                rows = path_row_base + m_i
-                for d in range(na):
-                    J[rows, q * na + d] = Gj[:, m_i, d]
-                for d in range(nu):
-                    J[rows, P * na + q * nu + d] = Gj[:, m_i, na + d]
-        if n_bnd:
-            boundary_rows_jacobian(J, X)
         return J
 
     return NlpProblem(
         n_vars=layout.n_vars,
         objective=objective,
         constraints=constraints,
-        lower=lower,
-        upper=upper,
+        lower=np.zeros(n_rows),
+        upper=np.zeros(n_rows),
         gradient=gradient,
         jacobian=jacobian,
         lagrangian_hessian=lagrangian_hessian,
@@ -631,12 +553,7 @@ def base_objective(traj: Trajectory, ocp: OcpDefinition) -> float:
         X = traj.state_values[k][:nk, :n]
         U = traj.control_values[k]
         times = traj.control_times[k]
-        if ocp.vectorized:
-            total += float(w @ np.asarray(ocp.running_cost(X, U, times), dtype=float))
-        else:
-            total += float(w @ np.array([
-                ocp.running_cost(X[i], U[i], times[i]) for i in range(nk)
-            ]))
+        total += float(w @ np.asarray(ocp.running_cost(X, U, times), dtype=float))
     if ocp.terminal_cost is not None:
         x0 = traj.state_values[0][0, :n]
         xf = traj.state_values[-1][-1, :n]

@@ -7,7 +7,6 @@ from guidedog.ocp import (
     JacobianMismatch,
     OcpDefinition,
     example_problem,
-    fd_jacobian_callbacks,
     validate_jacobians,
 )
 
@@ -93,14 +92,6 @@ def test_validate_jacobians_names_bad_entry(example):
         validate_jacobians(bad, [(np.array([1.5]), np.array([0.0]), 0.0)])
 
 
-def test_fd_fallback_matches_analytic(example):
-    ocp, _ = example
-    jac_x, jac_p = fd_jacobian_callbacks(ocp.dynamics, 1, 1)
-    x, u, p = np.array([0.8]), np.array([0.4]), np.array([2.0])
-    assert_allclose(jac_x(x, u, p, 0.0), ocp.jac_x(x, u, p, 0.0), rtol=1e-5)
-    assert_allclose(jac_p(x, u, p, 0.0), ocp.jac_p(x, u, p, 0.0), rtol=1e-5)
-
-
 def test_spec_template(example):
     _, make_spec = example
     spec = make_spec(beta=5.0, q=0.01)
@@ -160,6 +151,8 @@ def test_with_initial_state(example):
     assert_allclose(ocp.initial_state, [1.5])
 
 
-def test_boundary_bounds_must_pair():
-    with pytest.raises(ValueError, match="together"):
-        example_ocp_with(boundary=lambda x0, t0, xf, tf: np.array([xf[0]]))
+def test_per_point_callbacks_are_rejected():
+    # transcription only ever calls the callbacks on stacked batches
+    with pytest.raises(ValueError, match="batches"):
+        example_ocp_with(vectorized=False)
+    assert example_ocp_with(vectorized=True).n_states == 1

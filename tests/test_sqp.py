@@ -1,6 +1,7 @@
 """Tests for the dense SQP solver."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sqp import (
@@ -69,6 +70,56 @@ def test_equality_qp_matches_hand_kkt_solution():
     assert abs(sol.objective - 3.0) < 1e-9
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       m=st.integers(0, 6))
+def test_convex_equality_qp_matches_direct_kkt_solve(seed, n, m):
+    # min 0.5 z'Hz + q'z  s.t.  A z = b with H positive definite and A
+    # of full row rank has one KKT point: [H A'; A 0] [z; lam] = [-q; b]
+    m = min(m, n)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H = (Q * rng.uniform(0.5, 5.0, n)) @ Q.T
+    A = rng.standard_normal((m, n))
+    assume(m == 0 or np.linalg.svd(A, compute_uv=False)[-1] > 0.1)
+    q = rng.standard_normal(n)
+    b = rng.standard_normal(m)
+    K = np.block([[H, A.T], [A, np.zeros((m, m))]])
+    direct = np.linalg.solve(K, np.concatenate([-q, b]))
+    nlp = NlpProblem(
+        n_vars=n,
+        objective=lambda z: float(0.5 * z @ H @ z + q @ z),
+        constraints=lambda z: A @ z,
+        lower=b, upper=b.copy(),
+        gradient=lambda z: H @ z + q,
+        jacobian=lambda z: A,
+        lagrangian_hessian=lambda z, lam: H,
+    )
+    sol = solve(nlp, np.zeros(n), SolverOptions(kkt_tolerance=1e-10))
+    assert sol.status == "converged"
+    scale = 1.0 + np.max(np.abs(direct))
+    assert np.max(np.abs(sol.z - direct[:n])) <= 1e-8 * scale
+    assert np.max(np.abs(sol.multipliers - direct[n:]), initial=0.0) \
+        <= 1e-8 * scale
+
+
+def test_inequality_rows_are_rejected():
+    # every row is solved as an equality, so a row with distinct bounds
+    # would be solved wrongly; it is refused when the problem is built
+    for lower, upper in (([-np.inf], [1.0]), ([0.0], [np.inf]),
+                         ([0.0], [5.0])):
+        with pytest.raises(ValueError, match="equality"):
+            NlpProblem(
+                n_vars=1,
+                objective=lambda z: float(z[0] ** 2),
+                constraints=lambda z: np.array([z[0]]),
+                lower=np.array(lower),
+                upper=np.array(upper),
+                gradient=lambda z: np.array([2.0 * z[0]]),
+                jacobian=lambda z: np.array([[1.0]]),
+            )
+
+
 def test_kkt_residual_at_exact_point_and_random_point():
     nlp = _hand_qp()
     at_solution = kkt_residual(nlp, np.array([2.0, 1.0]), np.array([-2.0]))
@@ -108,73 +159,6 @@ def test_determinism_bit_identical():
     assert np.array_equal(sol_a.z, sol_b.z)
     assert np.array_equal(sol_a.multipliers, sol_b.multipliers)
     assert len(sol_a.trace) == len(sol_b.trace)
-
-
-def test_upper_bound_becomes_active():
-    # min (x - 2)^2  s.t.  x <= 1  ->  x* = 1, multiplier +2
-    nlp = NlpProblem(
-        n_vars=1,
-        objective=lambda z: float((z[0] - 2.0) ** 2),
-        constraints=lambda z: np.array([z[0]]),
-        lower=np.array([-np.inf]),
-        upper=np.array([1.0]),
-        gradient=lambda z: np.array([2.0 * (z[0] - 2.0)]),
-        jacobian=lambda z: np.array([[1.0]]),
-    )
-    sol = solve(nlp, np.array([0.0]))
-    assert sol.status == "converged"
-    assert sol.z[0] == pytest.approx(1.0, abs=1e-8)
-    assert sol.multipliers[0] == pytest.approx(2.0, abs=1e-6)
-
-
-def test_lower_bound_becomes_active():
-    # min (x + 1)^2  s.t.  x >= 0  ->  x* = 0, multiplier -2
-    nlp = NlpProblem(
-        n_vars=1,
-        objective=lambda z: float((z[0] + 1.0) ** 2),
-        constraints=lambda z: np.array([z[0]]),
-        lower=np.array([0.0]),
-        upper=np.array([np.inf]),
-        gradient=lambda z: np.array([2.0 * (z[0] + 1.0)]),
-        jacobian=lambda z: np.array([[1.0]]),
-    )
-    sol = solve(nlp, np.array([2.0]))
-    assert sol.status == "converged"
-    assert sol.z[0] == pytest.approx(0.0, abs=1e-8)
-    assert sol.multipliers[0] == pytest.approx(-2.0, abs=1e-6)
-
-
-def test_inactive_bounds_leave_unconstrained_minimum():
-    nlp = NlpProblem(
-        n_vars=1,
-        objective=lambda z: float((z[0] - 2.0) ** 2),
-        constraints=lambda z: np.array([z[0]]),
-        lower=np.array([0.0]),
-        upper=np.array([5.0]),
-        gradient=lambda z: np.array([2.0 * (z[0] - 2.0)]),
-        jacobian=lambda z: np.array([[1.0]]),
-    )
-    sol = solve(nlp, np.array([4.9]))
-    assert sol.status == "converged"
-    assert sol.z[0] == pytest.approx(2.0, abs=1e-8)
-    assert abs(sol.multipliers[0]) < 1e-8
-
-
-def test_two_dimensional_halfspace_projection():
-    # min x^2 + y^2  s.t.  x + y >= 1  ->  (0.5, 0.5), multiplier -1
-    nlp = NlpProblem(
-        n_vars=2,
-        objective=lambda z: float(z[0] ** 2 + z[1] ** 2),
-        constraints=lambda z: np.array([z[0] + z[1]]),
-        lower=np.array([1.0]),
-        upper=np.array([np.inf]),
-        gradient=lambda z: np.array([2.0 * z[0], 2.0 * z[1]]),
-        jacobian=lambda z: np.array([[1.0, 1.0]]),
-    )
-    sol = solve(nlp, np.array([2.0, -1.0]))
-    assert sol.status == "converged"
-    assert np.allclose(sol.z, [0.5, 0.5], atol=1e-7)
-    assert sol.multipliers[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_unconstrained_quadratic():
@@ -256,7 +240,6 @@ def _linear_growth_problem():
         time_domain=(0.0, 1.0),
         initial_state=np.array([1.0]),
         terminal_state=np.array([np.e]),
-        vectorized=True,
     )
 
 

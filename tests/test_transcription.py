@@ -112,7 +112,6 @@ def test_constant_state_is_feasible_for_zero_dynamics():
         running_cost=None, terminal_cost=None,
         nominal_params=np.zeros(0),
         time_domain=(0.0, 2.0),
-        vectorized=True,
     )
     mesh = build_mesh(0.0, 2.0, 3, 4)
     nlp = transcribe(ocp, mesh)
@@ -138,7 +137,6 @@ def test_polynomial_trajectory_is_feasible():
         running_cost=None, terminal_cost=None,
         nominal_params=np.zeros(0),
         time_domain=(0.0, 2.0),
-        vectorized=True,
     )
     mesh = build_mesh(0.0, 2.0, 2, 4)
     nlp = transcribe(ocp, mesh)
@@ -169,7 +167,6 @@ def test_quadrature_cost_is_exact_for_low_degree():
         running_cost=_running_time_power, terminal_cost=None,
         nominal_params=np.zeros(0),
         time_domain=(0.0, 2.0),
-        vectorized=True,
     )
     mesh = build_mesh(0.0, 2.0, 2, 4)
     nlp = transcribe(ocp, mesh)
@@ -272,43 +269,6 @@ def test_objective_gradient_matches_central_difference():
         assert g[i] == pytest.approx(ref, abs=2e-7 * (1.0 + abs(ref)))
 
 
-def _path_g(x, u, t):
-    return u
-
-
-def _boundary_gap(x0, t0, xf, tf):
-    return np.array([xf[0] - x0[0]])
-
-
-def test_boundary_and_path_rows():
-    ocp = OcpDefinition(
-        n_states=1, n_controls=1, n_params=0,
-        dynamics=_control_dynamics, jac_x=None, jac_p=None,
-        running_cost=None, terminal_cost=None,
-        nominal_params=np.zeros(0),
-        time_domain=(0.0, 2.0),
-        boundary=_boundary_gap,
-        boundary_lower=np.array([0.5]),
-        boundary_upper=np.array([1.5]),
-        path_constraint=_path_g,
-        path_lower=np.array([-0.8]),
-        path_upper=np.array([0.8]),
-        vectorized=True,
-    )
-    mesh = build_mesh(0.0, 2.0, 2, 3)
-    nlp = transcribe(ocp, mesh)
-    # 6 defects + 1 boundary row + 6 path rows, no pins
-    assert nlp.n_constraints == 6 + 1 + 6
-    assert nlp.lower[6] == 0.5 and nlp.upper[6] == 1.5
-    assert np.all(nlp.lower[7:] == -0.8) and np.all(nlp.upper[7:] == 0.8)
-    layout = nlp.layout
-    z = pack_values(layout, np.linspace(0.0, 1.0, 7)[:, None],
-                    np.full((6, 1), 0.3))
-    c = nlp.constraints(z)
-    assert c[6] == pytest.approx(1.0)
-    assert np.allclose(c[7:], 0.3)
-
-
 def _quadratic_cost(x, u, t):
     x = np.atleast_2d(x)
     u = np.atleast_2d(u)
@@ -322,7 +282,6 @@ def test_base_objective_matches_nlp_objective_for_plain_problem():
         running_cost=_quadratic_cost, terminal_cost=None,
         nominal_params=np.zeros(0),
         time_domain=(0.0, 2.0),
-        vectorized=True,
     )
     mesh = build_mesh(0.0, 2.0, 3, 4)
     nlp = transcribe(ocp, mesh)
@@ -463,29 +422,11 @@ def test_constraint_jacobian_matches_fd_augmented_problem():
     _assert_jacobian_consistent(nlp, 0.4 * rng.standard_normal(nlp.n_vars))
 
 
-def test_constraint_jacobian_covers_path_and_boundary_rows():
-    ocp = OcpDefinition(
-        n_states=1, n_controls=1, n_params=0,
-        dynamics=_control_dynamics, jac_x=None, jac_p=None,
-        running_cost=None, terminal_cost=None,
-        nominal_params=np.zeros(0),
-        time_domain=(0.0, 2.0),
-        boundary=_boundary_gap,
-        boundary_lower=np.array([0.5]),
-        boundary_upper=np.array([1.5]),
-        path_constraint=_path_g,
-        path_lower=np.array([-0.8]),
-        path_upper=np.array([0.8]),
-        vectorized=True,
-    )
-    mesh = build_mesh(0.0, 2.0, 2, 3)
-    nlp = transcribe(ocp, mesh)
-    rng = np.random.default_rng(23)
-    _assert_jacobian_consistent(nlp, 0.5 * rng.standard_normal(nlp.n_vars))
-
-
 def _spring_dynamics(x, u, p, t):
-    return np.array([x[1], -p[0] * np.sin(x[0]) + u[0]])
+    # a single point (2,) or a stacked batch (P, 2)
+    x, u = np.asarray(x), np.asarray(u)
+    return np.stack([x[..., 1], -p[0] * np.sin(x[..., 0]) + u[..., 0]],
+                    axis=-1)
 
 
 def test_constraint_jacobian_matches_fd_nonvectorized_two_states():
@@ -497,7 +438,6 @@ def test_constraint_jacobian_matches_fd_nonvectorized_two_states():
         time_domain=(0.0, 1.5),
         initial_state=np.array([0.2, 0.0]),
         terminal_state=np.array([0.0, 0.0]),
-        vectorized=False,
     )
     mesh = build_mesh(0.0, 1.5, 2, 4)
     nlp = transcribe(ocp, mesh)
