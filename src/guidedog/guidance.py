@@ -92,6 +92,9 @@ class MissionResult:
 
     ``trajectories`` holds the reference solve first, then one entry
     per guidance re-solve; ``statuses``/``iterations`` line up with it.
+    ``iterations[0]`` is the reference solution's own count; every later
+    entry sums all SQP attempts behind that re-solve (the seeded solve,
+    the default retry and the staged recovery, whichever ran).
     ``epsilon`` is the signed terminal deviation of the first state
     component against the reference solve's terminal state (NaN when
     the mission failed).  ``failure_cycle`` is None on success, -1 when
@@ -175,18 +178,21 @@ def _seed_and_solve(nlp, z: np.ndarray, solver_opts: SolverOptions,
     be indefinite and stall the line search, so a failed seeded solve
     falls back to the same warm start under the solver's default
     quasi-Newton initialization unless the caller has a better
-    recovery of its own (``retry_default=False``).
+    recovery of its own (``retry_default=False``).  Returns the solution
+    kept and the iterations of every attempt made.
     """
     multipliers = estimate_multipliers(nlp, z)
     hessian = None
     if nlp.lagrangian_hessian is not None:
         hessian = nlp.lagrangian_hessian(z, multipliers)
     sol = solve(nlp, z, solver_opts, hessian0=hessian, multipliers0=multipliers)
+    spent = sol.iterations
     if sol.status != "converged" and hessian is not None and retry_default:
         fallback = solve(nlp, z, solver_opts)
+        spent += fallback.iterations
         if fallback.status == "converged":
-            return fallback
-    return sol
+            return fallback, spent
+    return sol, spent
 
 
 def _jac_profiles(ocp: OcpDefinition, traj: Trajectory, k: int,
@@ -324,7 +330,7 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
     aug_prob = augment(ocp, spec)
     nlp_aug = transcribe(aug_prob, mesh)
     z0 = _staged_sensitivity_guess(ocp, aug_prob, nlp_aug, traj)
-    sol_aug = _seed_and_solve(nlp_aug, z0, cfg.solver)
+    sol_aug, _ = _seed_and_solve(nlp_aug, z0, cfg.solver)
     if sol_aug.status != "converged":
         raise RuntimeError(
             f"desensitized reference solve did not converge: {sol_aug.status}"
@@ -343,8 +349,8 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     remaining horizon (an empty horizon raises ValueError); x(t_start)
     is pinned to ``x0``, and S(t_start) to ``s0`` for desensitized
     methods, while the terminal condition stays in force.  Returns
-    ``(trajectory, solution)``; raises RuntimeError when no attempt
-    converges.
+    ``(trajectory, solution, iterations)``, the last summing every SQP
+    attempt made; raises RuntimeError when no attempt converges.
     """
     mesh = base_mesh.with_time_domain(float(t_start), float(tf))
     x0 = np.asarray(x0, dtype=float)
@@ -365,9 +371,9 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
         # budget rather than the full one.
         quick = replace(cfg.solver,
                         max_iterations=min(25, cfg.solver.max_iterations))
-        sol = _seed_and_solve(nlp, z_warm, quick, retry_default=False)
+        sol, spent = _seed_and_solve(nlp, z_warm, quick, retry_default=False)
     else:
-        sol = _seed_and_solve(nlp, z_warm, cfg.solver)
+        sol, spent = _seed_and_solve(nlp, z_warm, cfg.solver)
     if sol.status != "converged" and cfg.desensitized:
         # Staged recovery, mirroring the reference pipeline: when the
         # carried augmented warm start is too inconsistent (large truth
@@ -375,7 +381,8 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
         # first and integrate S along it for a consistent restart.
         nlp_plain = transcribe(shrunk, mesh)
         z_plain = _warm_vector(warm_start, nlp_plain, x0)
-        sol_plain = _seed_and_solve(nlp_plain, z_plain, cfg.solver)
+        sol_plain, plain_spent = _seed_and_solve(nlp_plain, z_plain, cfg.solver)
+        spent += plain_spent
         if sol_plain.status == "converged":
             traj_plain = extract_solution(nlp_plain, sol_plain.z,
                                           objective_value=sol_plain.objective)
@@ -385,13 +392,15 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
             except RuntimeError:
                 z_staged = None
             if z_staged is not None:
-                sol = _seed_and_solve(nlp, z_staged, cfg.solver)
+                sol, staged_spent = _seed_and_solve(nlp, z_staged, cfg.solver)
+                spent += staged_spent
     if sol.status != "converged":
         raise RuntimeError(
             f"guidance re-solve on [{t_start}, {tf}] did not converge: "
             f"{sol.status}"
         )
-    return extract_solution(nlp, sol.z, objective_value=sol.objective), sol
+    return (extract_solution(nlp, sol.z, objective_value=sol.objective), sol,
+            spent)
 
 
 def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
@@ -471,11 +480,11 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                 x_next, s0 = restart_conditions(current, sim, t_end)
                 if cfg.desensitized and cfg.reset_sensitivity:
                     s0 = np.zeros((ocp.n_states, ocp.n_params))
-                current, sol = _resolve_cycle(ocp, spec, cfg, base_mesh,
-                                              x_next, s0, t_end, tf, current)
+                current, sol, spent = _resolve_cycle(
+                    ocp, spec, cfg, base_mesh, x_next, s0, t_end, tf, current)
                 trajectories.append(current)
                 statuses.append(sol.status)
-                iterations.append(sol.iterations)
+                iterations.append(spent)
             t_covered = t0 + cfg.cycle_count * cfg.cycle_duration
             if t_covered < tf - 1e-9 * max(1.0, abs(tf)):
                 fly(t_covered, tf)

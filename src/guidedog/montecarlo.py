@@ -120,7 +120,7 @@ class MonteCarloRecord:
     method: str
     epsilon: float          # NaN when the mission failed
     status: str             # "ok" or "failed"
-    iterations: int         # solver iterations spent on this run's re-solves
+    iterations: int         # SQP iterations of every attempt behind this run's re-solves
 
     @property
     def ok(self) -> bool:

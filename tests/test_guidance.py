@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from guidedog import guidance
 from guidedog.guidance import (
     GuidanceConfig,
     _resolve_cycle,
@@ -10,9 +11,10 @@ from guidedog.guidance import (
     run_mission,
     solve_reference,
 )
+from guidedog.montecarlo import study_mesh
 from guidedog.ocp import example_problem
 from guidedog.simulation import integrate
-from guidedog.sqp import SolverOptions
+from guidedog.sqp import SolverOptions, solve as sqp_solve
 from guidedog.transcription import base_objective, example_mesh
 
 
@@ -116,8 +118,8 @@ def test_remap_at_t0_reproduces_reference(problem, oc_mission):
     ocp, _ = problem
     ref = oc_mission.trajectories[0]
     cfg = GuidanceConfig(method="OG")
-    again, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
-                              ref.state_at(0.0), None, 0.0, 50.0, ref)
+    again, _, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                                 ref.state_at(0.0), None, 0.0, 50.0, ref)
     for t in np.linspace(0.0, 50.0, 101):
         assert again.state_at(t)[0] == pytest.approx(ref.state_at(t)[0],
                                                      abs=1e-9)
@@ -128,8 +130,8 @@ def test_remap_dp_consistency_plain(problem, oc_mission):
     ref = oc_mission.trajectories[0]
     truth = integrate(ocp, ref, ref.state_at(0.0), (0.0, 4.0))
     cfg = GuidanceConfig(method="OG")
-    tail, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
-                             truth.terminal_state, None, 4.0, 50.0, ref)
+    tail, _, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                                truth.terminal_state, None, 4.0, 50.0, ref)
     assert tail.t0 == 4.0 and tail.tf == 50.0
     assert tail.interval_times[0] == pytest.approx(4.0, abs=1e-12)
     assert tail.interval_times[-1] == pytest.approx(50.0, abs=1e-12)
@@ -144,9 +146,9 @@ def test_remap_dp_consistency_desensitized(problem, doc_mission):
     ref = doc_mission.trajectories[0]
     truth = integrate(ocp, ref, ref.state_at(0.0), (0.0, 4.0))
     cfg = GuidanceConfig(method="DOG")
-    tail, _ = _resolve_cycle(ocp, spec, cfg, example_mesh(),
-                             truth.terminal_state, ref.sensitivity_at(4.0),
-                             4.0, 50.0, ref)
+    tail, _, _ = _resolve_cycle(ocp, spec, cfg, example_mesh(),
+                                truth.terminal_state, ref.sensitivity_at(4.0),
+                                4.0, 50.0, ref)
     for t in np.linspace(4.0, 50.0, 101):
         assert tail.state_at(t)[0] == pytest.approx(ref.state_at(t)[0],
                                                     abs=1e-5)
@@ -263,3 +265,25 @@ def test_failed_resolve_raises_in_remap(problem, oc_mission):
     with pytest.raises(RuntimeError, match="did not converge"):
         _resolve_cycle(ocp, None, cfg, example_mesh(), np.array([5.0]), None,
                        4.0, 50.0, ref)
+
+
+def test_resolve_iterations_sum_every_attempt(monkeypatch):
+    # on the study mesh the first OG re-solve is not a one-shot polish:
+    # the seeded attempt fails and the default retry converges, and the
+    # mission must report the iterations of both
+    ocp, _ = example_problem()
+    cfg = GuidanceConfig(method="OG", mesh=study_mesh(), cycle_count=1)
+    reference = solve_reference(ocp, None, cfg)
+    attempts = []
+
+    def counted_solve(*args, **kwargs):
+        sol = sqp_solve(*args, **kwargs)
+        attempts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(guidance, "solve", counted_solve)
+    mission = run_mission(ocp, None, cfg, p_tilde=np.array([2.0178]),
+                          reference=reference)
+    assert not mission.failed
+    assert len(attempts) >= 2
+    assert mission.iterations[1] == sum(attempts)
