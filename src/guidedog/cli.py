@@ -102,8 +102,6 @@ class CampaignConfig:
 
 def _convert(section: str, key: str, raw: str, kind):
     try:
-        if kind is bool:
-            raise TypeError("bool keys are not used")
         return kind(raw)
     except ValueError as exc:
         raise ValidationError(
@@ -295,11 +293,9 @@ def _cmd_campaign(args) -> int:
     ocp, make_spec = example_problem(cfg.alpha)
     needs_spec = any(m in ("DOC", "DOG") for m in cfg.methods)
     spec = make_spec(cfg.beta, cfg.q) if needs_spec else None
-    try:
-        mc = MonteCarloConfig(run_count=cfg.runs, q=cfg.q, beta=cfg.beta,
-                              seed=cfg.seed, methods=cfg.methods)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    # CampaignConfig has already validated these fields
+    mc = MonteCarloConfig(run_count=cfg.runs, q=cfg.q, beta=cfg.beta,
+                          seed=cfg.seed, methods=cfg.methods)
     records = run_campaign(ocp, spec, mc,
                            guidance=_guidance(cfg, ocp, cfg.methods[0]))
     stats = summarize(records)

@@ -59,11 +59,8 @@ class GuidanceConfig:
     method: str = "DOG"
     cycle_duration: float = 4.0
     cycle_count: int = 12
-    reset_sensitivity: bool = False
     mesh: Optional[Mesh] = None          # None -> example_mesh on the problem domain
     solver: SolverOptions = field(default_factory=SolverOptions)
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         method = str(self.method).upper()
@@ -74,8 +71,6 @@ class GuidanceConfig:
             raise ValueError("cycle_duration must be positive")
         if self.cycle_count < 1:
             raise ValueError("cycle_count must be at least 1")
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("integration tolerances must be positive")
 
     @property
     def desensitized(self) -> bool:
@@ -86,15 +81,23 @@ class GuidanceConfig:
         return self.method in ("OG", "DOG")
 
 
+def _with_mesh(cfg: GuidanceConfig, ocp: OcpDefinition) -> GuidanceConfig:
+    """``cfg`` with its mesh set: None becomes the default graded mesh
+    on the problem's time domain."""
+    if cfg.mesh is not None:
+        return cfg
+    return replace(cfg, mesh=example_mesh(*ocp.time_domain))
+
+
 @dataclass
 class MissionResult:
     """One flown mission: solves, stitched truth history, and ε.
 
     ``trajectories`` holds the reference solve first, then one entry
     per guidance re-solve; ``statuses``/``iterations`` line up with it.
-    ``iterations[0]`` is the reference solution's own count; every later
-    entry sums all SQP attempts behind that re-solve (the seeded solve,
-    the default retry and the staged recovery, whichever ran).
+    Every entry sums all SQP attempts behind its solve: both stages of a
+    desensitized reference, and for a re-solve the seeded solve, the
+    default retry and the staged recovery, whichever ran.
     ``epsilon`` is the signed terminal deviation of the first state
     component against the reference solve's terminal state (NaN when
     the mission failed).  ``failure_cycle`` is None on success, -1 when
@@ -114,10 +117,6 @@ class MissionResult:
     failed: bool = False
     failure_cycle: Optional[int] = None
     message: str = ""
-
-    @property
-    def total_iterations(self) -> int:
-        return int(sum(self.iterations))
 
 
 def cycle_bounds(s: int, t0: float, cycle_duration: float,
@@ -139,17 +138,17 @@ def cycle_bounds(s: int, t0: float, cycle_duration: float,
 def restart_conditions(prev_solution: Trajectory, sim, t_handoff: float):
     """Initial conditions for the re-solve at a handoff time.
 
-    The state restarts from the simulated truth; the sensitivity (when
-    the previous solution carries one) restarts from the previous
-    solved trajectory — the truth plant never propagates S.  At the
-    simulation's end time the exact terminal vector is handed off, not
-    a re-interpolated copy.
+    The state restarts from the simulated truth's exact terminal vector,
+    so the handoff time must be the simulation's end time (ValueError
+    otherwise); the sensitivity (when the previous solution carries
+    one) restarts from the previous solved trajectory — the truth plant
+    never propagates S.
     """
     t_handoff = float(t_handoff)
-    if abs(t_handoff - sim.t_end) <= 1e-9 * max(1.0, abs(sim.t_end)):
-        x0 = np.array(sim.terminal_state, copy=True)
-    else:
-        x0 = sim.state_at(t_handoff)
+    if abs(t_handoff - sim.t_end) > 1e-9 * max(1.0, abs(sim.t_end)):
+        raise ValueError(
+            f"handoff at t = {t_handoff}, but the simulation ends at {sim.t_end}")
+    x0 = np.array(sim.terminal_state, copy=True)
     s0 = None
     if prev_solution.sens_shape is not None:
         s0 = prev_solution.sensitivity_at(t_handoff)
@@ -314,10 +313,11 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
     augmented problem, and a Hessian evaluated at the seed turns the
     augmented solve into a short Newton polish.
 
-    Returns ``(trajectory, solution)``; raises RuntimeError when any
-    stage fails to converge.
+    Returns ``(trajectory, solution)``; a desensitized solution's
+    ``iterations`` counts the plain stage and every augmented attempt.
+    Raises RuntimeError when any stage fails to converge.
     """
-    mesh = cfg.mesh if cfg.mesh is not None else example_mesh(*ocp.time_domain)
+    mesh = _with_mesh(cfg, ocp).mesh
     nlp = transcribe(ocp, mesh)
     sol = solve(nlp, initial_guess(ocp, mesh), cfg.solver)
     if sol.status != "converged":
@@ -330,14 +330,14 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
     aug_prob = augment(ocp, spec)
     nlp_aug = transcribe(aug_prob, mesh)
     z0 = _staged_sensitivity_guess(ocp, aug_prob, nlp_aug, traj)
-    sol_aug, _ = _seed_and_solve(nlp_aug, z0, cfg.solver)
+    sol_aug, spent = _seed_and_solve(nlp_aug, z0, cfg.solver)
     if sol_aug.status != "converged":
         raise RuntimeError(
             f"desensitized reference solve did not converge: {sol_aug.status}"
         )
     traj_aug = extract_solution(nlp_aug, sol_aug.z,
                                 objective_value=sol_aug.objective)
-    return traj_aug, sol_aug
+    return traj_aug, replace(sol_aug, iterations=sol.iterations + spent)
 
 
 def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
@@ -428,8 +428,7 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                 f"{cfg.cycle_count} cycles x {cfg.cycle_duration} s "
                 f"exceed the {horizon} s horizon"
             )
-    base_mesh = cfg.mesh if cfg.mesh is not None else example_mesh(t0, tf)
-    cfg = replace(cfg, mesh=base_mesh)
+    cfg = _with_mesh(cfg, ocp)
 
     def failed(message, trajectories, statuses, iterations,
                seg_times, seg_states, seg_controls, reference_objective):
@@ -461,8 +460,7 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     def fly(span_start, span_end):
         nonlocal x
         sim = integrate(ocp, current, x, (span_start, span_end),
-                        p_tilde=p_tilde, abs_tol=cfg.abs_tol,
-                        rel_tol=cfg.rel_tol)
+                        p_tilde=p_tilde)
         skip = 1 if seg_times else 0     # joint sample already recorded
         seg_times.append(sim.times[skip:])
         seg_states.append(sim.states[skip:])
@@ -478,10 +476,8 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                 t_start, t_end = cycle_bounds(s, t0, cfg.cycle_duration, tf=tf)
                 sim = fly(t_start, t_end)
                 x_next, s0 = restart_conditions(current, sim, t_end)
-                if cfg.desensitized and cfg.reset_sensitivity:
-                    s0 = np.zeros((ocp.n_states, ocp.n_params))
                 current, sol, spent = _resolve_cycle(
-                    ocp, spec, cfg, base_mesh, x_next, s0, t_end, tf, current)
+                    ocp, spec, cfg, cfg.mesh, x_next, s0, t_end, tf, current)
                 trajectories.append(current)
                 statuses.append(sol.status)
                 iterations.append(spent)

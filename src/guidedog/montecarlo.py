@@ -26,7 +26,7 @@ import numpy as np
 
 from .guidance import METHODS, GuidanceConfig, run_mission, solve_reference
 from .ocp import OcpDefinition
-from .transcription import Mesh, build_mesh, example_mesh
+from .transcription import Mesh, build_mesh
 
 __all__ = [
     "PRESETS",
@@ -181,10 +181,6 @@ def run_campaign(ocp: OcpDefinition, spec, cfg: MonteCarloConfig,
     """
     if guidance is None:
         guidance = GuidanceConfig()
-    t0, tf = ocp.time_domain
-    base_mesh = guidance.mesh if guidance.mesh is not None \
-        else example_mesh(t0, tf)
-    guidance = replace(guidance, mesh=base_mesh)
 
     needs_aug = any(_family(m) == "aug" for m in cfg.methods)
     if needs_aug and spec is None:

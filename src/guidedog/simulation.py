@@ -9,8 +9,7 @@ neighbouring interval's control.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,8 +26,7 @@ class SimResult:
 
     ``times`` are the integrator's accepted step times (strictly
     monotone, first = t_start, last = t_end); ``states`` and
-    ``controls`` are row-aligned with them.  Dense in-between values
-    come from :meth:`state_at`.
+    ``controls`` are row-aligned with them.
     """
 
     t_start: float
@@ -36,7 +34,6 @@ class SimResult:
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
-    _segments: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         d = np.diff(self.times)
@@ -54,20 +51,6 @@ class SimResult:
     @property
     def terminal_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def state_at(self, t: float) -> np.ndarray:
-        lo, hi = sorted((self.t_start, self.t_end))
-        if t < lo - 1e-9 * (1.0 + abs(lo)) or t > hi + 1e-9 * (1.0 + abs(hi)):
-            raise ValueError(f"t = {t} outside simulated span [{lo}, {hi}]")
-        for a, b, dense in self._segments:
-            if min(a, b) - 1e-12 <= t <= max(a, b) + 1e-12:
-                return np.atleast_1d(dense(t))
-        # only reachable through rounding at the outer edges
-        return self.states[0] if abs(t - self.t_start) < abs(t - self.t_end) \
-            else self.states[-1]
-
-    def sample(self, times) -> np.ndarray:
-        return np.stack([self.state_at(t) for t in np.asarray(times, float)])
 
 
 def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
@@ -112,18 +95,16 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     times = [np.array([t_start])]
     states = [x[None, :].copy()]
-    segments = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a == b:
             continue
         k = int(traj.locate(0.5 * (a + b)))
         sol = solve_ivp(rhs, (a, b), x, method="DOP853", args=(k,),
-                        rtol=rel_tol, atol=abs_tol, dense_output=True)
+                        rtol=rel_tol, atol=abs_tol, dense_output=False)
         if not sol.success:
             raise RuntimeError(
                 f"integration failed on [{a}, {b}]: {sol.message}"
             )
-        segments.append((a, b, sol.sol))
         times.append(sol.t[1:])
         states.append(sol.y.T[1:])
         x = sol.y[:, -1].copy()
@@ -132,4 +113,4 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
     x_grid = np.vstack(states)
     u_grid = traj.control_at(t_grid)
     return SimResult(t_start=t_start, t_end=t_end, times=t_grid,
-                     states=x_grid, controls=u_grid, _segments=segments)
+                     states=x_grid, controls=u_grid)

@@ -11,9 +11,11 @@ search on the l1 exact-penalty merit function with a second-order
 correction of the full step.  The subproblem Hessian is a damped
 quasi-Newton matrix; once the iterate is local -- the previous step
 was a full step and the constraint violation is at most 1e-6 -- the
-exact Lagrangian Hessian of the problem, when it provides one, takes
-its place for every step whose KKT matrix has the inertia of a
-well-posed equality QP, which restores Newton's local convergence.
+problem's Lagrangian Hessian hook, when it provides one, takes its
+place for every step whose KKT matrix has the inertia of a well-posed
+equality QP, which restores Newton's local convergence.  For a
+transcribed problem that hook is a second-difference stencil accurate
+to about 1e-8 relative, not an analytic Hessian.
 Multiplier convention: L = f + lambda' c, so ``min x^2 s.t. x = 3``
 has multiplier -6.
 """
@@ -29,11 +31,9 @@ from .sensitivity import AugmentedOcp
 from .transcription import Mesh, NlpProblem
 
 __all__ = [
-    "LineSearchOptions",
     "SolverOptions",
     "IterationRecord",
     "NlpSolution",
-    "kkt_residual",
     "constraint_violation",
     "estimate_multipliers",
     "initial_guess",
@@ -41,30 +41,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LineSearchOptions:
-    """Backtracking parameters for the merit line search."""
-
-    sufficient_decrease: float = 1e-4
-    contraction: float = 0.5
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
-        if not 0.0 < self.contraction < 1.0:
-            raise ValueError("contraction must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
+# backtracking of the merit line search: Armijo constant, step
+# contraction per backtrack, and backtracks before giving up
+SUFFICIENT_DECREASE = 1e-4
+CONTRACTION = 0.5
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and strategy switches for :func:`solve`."""
+    """Tolerances for :func:`solve`."""
 
     kkt_tolerance: float = 1e-8
     max_iterations: int = 200
-    line_search: LineSearchOptions = field(default_factory=LineSearchOptions)
 
     def __post_init__(self):
         if not self.kkt_tolerance > 0.0:
@@ -91,9 +80,7 @@ class NlpSolution:
 
     ``status`` is one of ``converged``, ``max-iterations`` or
     ``line-search-failure``; non-converged statuses still carry the
-    best iterate found.  ``hessian`` is the final quasi-Newton matrix
-    (updated on every step, including the exact-Hessian Newton steps
-    of the local phase), reusable to warm-start a closely related solve.
+    best iterate found.
     """
 
     z: np.ndarray
@@ -103,7 +90,6 @@ class NlpSolution:
     status: str
     objective: float
     constraint_violation: float
-    hessian: Optional[np.ndarray] = None
     trace: list = field(default_factory=list)
 
     @property
@@ -116,21 +102,6 @@ def constraint_violation(nlp: NlpProblem, c: np.ndarray) -> float:
     if c.size == 0:
         return 0.0
     return float(np.max(np.abs(c - nlp.lower)))
-
-
-def kkt_residual(nlp: NlpProblem, point: np.ndarray,
-                 multipliers: np.ndarray) -> float:
-    """Max-norm of stationarity and feasibility residuals at a point."""
-    z = np.asarray(point, dtype=float)
-    lam = np.asarray(multipliers, dtype=float)
-    g = nlp.gradient(z)
-    c = nlp.constraints(z)
-    if lam.size != c.size:
-        raise ValueError(
-            f"got {lam.size} multipliers for {c.size} constraints"
-        )
-    stat = g + nlp.jacobian(z).T @ lam if c.size else g
-    return max(float(np.max(np.abs(stat))), constraint_violation(nlp, c))
 
 
 def estimate_multipliers(nlp: NlpProblem, point: np.ndarray) -> np.ndarray:
@@ -244,8 +215,6 @@ def _merit(f, viol, nu):
 
 
 def _l1_violation(nlp, c):
-    if c.size == 0:
-        return 0.0
     return float(np.sum(np.abs(c - nlp.lower)))
 
 
@@ -286,7 +255,6 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
     if multipliers0 is not None and multipliers0.size == m and m:
         nu = max(nu, 2.0 * float(np.max(np.abs(multipliers0))))
 
-    ls = opts.line_search
     eps = np.finfo(float).eps
 
     f = float(nlp.objective(z))
@@ -294,11 +262,8 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
     c = nlp.constraints(z)
     J = nlp.jacobian(z)
 
-    lam = np.zeros(m)
     status = "max-iterations"
-    iterations = 0
     alpha = 0.0       # no step taken yet, so the first QP is never local
-    kkt = np.inf
     trace: list = []
 
     # Multipliers for the loop-top optimality check.  Any vector gives an
@@ -319,32 +284,25 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
         kkt = max(float(np.max(np.abs(stat))) if n else 0.0, viol_inf)
         if kkt <= opts.kkt_tolerance:
             status = "converged"
-            lam = lam_check
-            iterations = it
             break
         if it == opts.max_iterations:
-            status = "max-iterations"
-            lam = lam_check
-            iterations = it
             break
 
         # local phase: after a full step onto a nearly feasible point,
-        # take Newton steps on the exact Lagrangian Hessian whenever its
-        # reduced Hessian is positive definite; B stays the fallback
+        # take Newton steps on the problem's Lagrangian Hessian whenever
+        # its reduced Hessian is positive definite; B stays the fallback
         H = B
         if (alpha == 1.0 and viol_inf <= 1e-6
                 and nlp.lagrangian_hessian is not None):
-            H_exact = np.asarray(nlp.lagrangian_hessian(z, lam_check),
-                                 dtype=float)
-            if _newton_inertia_ok(H_exact, J):
-                H = H_exact
+            H_lag = np.asarray(nlp.lagrangian_hessian(z, lam_check),
+                               dtype=float)
+            if _newton_inertia_ok(H_lag, J):
+                H = H_lag
 
         d, lam_qp = _solve_kkt(H, J, g, nlp.lower - c)
         step_scale = float(np.max(np.abs(d))) if n else 0.0
         if not np.all(np.isfinite(d)) or step_scale > 1e12:
             status = "line-search-failure"
-            lam = lam_check
-            iterations = it
             break
         # exact-penalty weight: raised when multipliers demand it,
         # relaxed slowly once they shrink again
@@ -362,20 +320,18 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             # not a descent direction for the merit (an indefinite seeded
             # matrix can give one): stop instead of climbing along it
             status = "line-search-failure"
-            lam = lam_check
-            iterations = it
             break
         tiny = abs(dphi) <= rounding
 
         alpha = 1.0
         accepted = False
         f_new = f
-        for backtrack in range(ls.max_backtracks):
+        for backtrack in range(MAX_BACKTRACKS):
             z_new = z + alpha * d
             f_new = float(nlp.objective(z_new))
             c_new = nlp.constraints(z_new)
             phi_new = _merit(f_new, _l1_violation(nlp, c_new), nu)
-            if tiny or phi_new <= phi0 + ls.sufficient_decrease * alpha * dphi:
+            if tiny or phi_new <= phi0 + SUFFICIENT_DECREASE * alpha * dphi:
                 accepted = True
                 break
             if backtrack == 0 and m:
@@ -397,15 +353,13 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
                 f_soc = float(nlp.objective(z_soc))
                 c_soc = nlp.constraints(z_soc)
                 phi_soc = _merit(f_soc, _l1_violation(nlp, c_soc), nu)
-                if phi_soc <= phi0 + ls.sufficient_decrease * dphi:
+                if phi_soc <= phi0 + SUFFICIENT_DECREASE * dphi:
                     z_new, f_new, c_new = z_soc, f_soc, c_soc
                     accepted = True
                     break
-            alpha *= ls.contraction
+            alpha *= CONTRACTION
         if not accepted:
             status = "line-search-failure"
-            lam = lam_check
-            iterations = it
             break
 
         g_new = nlp.gradient(z_new)
@@ -418,7 +372,6 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
         B = _damped_bfgs_update(B, s, y)
 
         z, f, g, c, J = z_new, f_new, g_new, c_new, J_new
-        lam = lam_qp
         lam_check = lam_qp
         trace.append(IterationRecord(
             iteration=it + 1, objective=f,
@@ -426,12 +379,14 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             step_length=alpha, kkt=kkt,
         ))
 
+    # every exit breaks out of the loop at iteration ``it`` with the
+    # multipliers its optimality check used
     return NlpSolution(
-        z=z, multipliers=lam, kkt_residual=kkt,
-        iterations=iterations,
+        z=z, multipliers=lam_check, kkt_residual=kkt,
+        iterations=it,
         status=status,
         objective=f, constraint_violation=constraint_violation(nlp, c),
-        hessian=B, trace=trace,
+        trace=trace,
     )
 
 

@@ -157,9 +157,6 @@ class Layout:
         U = z[P * na: P * na + self.n_colloc * nu].reshape(self.n_colloc, nu)
         return X, U
 
-    def state_var_index(self, point: int, dim: int) -> int:
-        return point * self.n_aug + dim
-
 
 def pack_values(layout: Layout, states: np.ndarray,
                 controls: np.ndarray) -> np.ndarray:
@@ -183,7 +180,8 @@ class NlpProblem:
     ``jacobian(z)`` return the objective gradient and the dense
     constraint Jacobian; the solver has no finite-difference fallback.
     ``lagrangian_hessian(z, multipliers)``, when present, returns the
-    exact Hessian of objective + multipliers @ constraints; the solver
+    Hessian of objective + multipliers @ constraints (``transcribe``
+    builds it by second differences, not analytically); the solver
     takes Newton steps on it once the iterate is local (after a full
     step to a nearly feasible point, when its inertia is right) and it
     can seed the quasi-Newton matrix of a warm start.
@@ -211,6 +209,55 @@ class NlpProblem:
     @property
     def n_constraints(self) -> int:
         return self.lower.size
+
+
+def _central_differences(fun, V: np.ndarray, rel_step: float,
+                         out: np.ndarray) -> np.ndarray:
+    """Central differences of a batched function along each column of V.
+
+    ``fun`` maps a (B, n) batch to one value (B,) or one row (B, r) per
+    batch row.  Column d is moved by rel_step * (1 + |V[:, d]|) both
+    ways, and the difference quotient is written to ``out[..., d]``,
+    which is returned.
+    """
+    for d in range(V.shape[1]):
+        h = rel_step * (1.0 + np.abs(V[:, d]))
+        hi, lo = V.copy(), V.copy()
+        hi[:, d] += h
+        lo[:, d] -= h
+        delta = fun(hi) - fun(lo)
+        out[..., d] = delta / (2.0 * h).reshape(h.shape + (1,) * (delta.ndim - 1))
+    return out
+
+
+def _second_differences(fun, V0: np.ndarray, rel_step: float) -> np.ndarray:
+    """4-point second-difference Hessian blocks of a batched scalar function.
+
+    ``fun`` maps a (B, n) batch to one value per row; the result is the
+    (B, n, n) stack of its Hessians at the rows of V0, column d moved by
+    rel_step * (1 + |V0[:, d]|).
+    """
+    step = rel_step * (1.0 + np.abs(V0))
+
+    def shifted(*moves):
+        V = V0.copy()
+        for d, sign in moves:
+            V[:, d] += sign * step[:, d]
+        return fun(V)
+
+    n = V0.shape[1]
+    centre = fun(V0)
+    blocks = np.empty((V0.shape[0], n, n))
+    for a in range(n):
+        blocks[:, a, a] = (shifted((a, +1)) - 2.0 * centre
+                           + shifted((a, -1))) / step[:, a] ** 2
+        for b in range(a + 1, n):
+            cross = (shifted((a, +1), (b, +1)) - shifted((a, +1), (b, -1))
+                     - shifted((a, -1), (b, +1)) + shifted((a, -1), (b, -1)))
+            cross /= 4.0 * step[:, a] * step[:, b]
+            blocks[:, a, b] = cross
+            blocks[:, b, a] = cross
+    return blocks
 
 
 def _pin_indices(values: Optional[np.ndarray]):
@@ -271,6 +318,10 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     halves = 0.5 * np.diff(mesh.interval_times())
     h_point = np.repeat(halves, orders)
     w_scaled = np.concatenate([halves[k] * bases[k].weights for k in range(K)])
+    # columns of each (x, u) dimension at every collocation point
+    colloc = np.arange(C)
+    var_of_dim = [colloc * na + d if d < na else P * na + colloc * nu + (d - na)
+                  for d in range(na + nu)]
 
     init_idx, init_vals = _pin_indices(ocp.initial_state)
     term_idx, term_vals = _pin_indices(ocp.terminal_state)
@@ -301,6 +352,10 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
             value += float(ocp.terminal_cost(X[0], t0, X[-1], tf))
         return value
 
+    def endpoint_cost(V):
+        # the Mayer term on a batch of one [x(t0), x(tf)] row
+        return np.array([float(ocp.terminal_cost(V[0, :na], t0, V[0, na:], tf))])
+
     def gradient(z: np.ndarray) -> np.ndarray:
         # Quadrature costs are separable across collocation points, so
         # the gradient needs one central difference per state/control
@@ -311,47 +366,30 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         gx = g[: P * na].reshape(P, na)
         gu = g[P * na: P * na + C * nu].reshape(C, nu)
         if ocp.running_cost is not None:
-            for d in range(na):
-                h = 1e-6 * (1.0 + np.abs(Xc[:, d]))
-                hi, lo = Xc.copy(), Xc.copy()
-                hi[:, d] += h
-                lo[:, d] -= h
-                diff = (eval_running(hi, U, times) - eval_running(lo, U, times)) / (2.0 * h)
-                gx[:-1, d] += w_scaled * diff
-            for d in range(nu):
-                h = 1e-6 * (1.0 + np.abs(U[:, d]))
-                hi, lo = U.copy(), U.copy()
-                hi[:, d] += h
-                lo[:, d] -= h
-                diff = (eval_running(Xc, hi, times) - eval_running(Xc, lo, times)) / (2.0 * h)
-                gu[:, d] += w_scaled * diff
+            gx[:-1] += w_scaled[:, None] * _central_differences(
+                lambda V: eval_running(V, U, times), Xc, 1e-6, np.empty_like(Xc))
+            gu += w_scaled[:, None] * _central_differences(
+                lambda V: eval_running(Xc, V, times), U, 1e-6, np.empty_like(U))
         if ocp.terminal_cost is not None:
-            for point, row in ((0, X[0]), (P - 1, X[-1])):
-                for d in range(na):
-                    h = 1e-6 * (1.0 + abs(row[d]))
-                    hi, lo = row.copy(), row.copy()
-                    hi[d] += h
-                    lo[d] -= h
-                    if point == 0:
-                        delta = (ocp.terminal_cost(hi, t0, X[-1], tf)
-                                 - ocp.terminal_cost(lo, t0, X[-1], tf))
-                    else:
-                        delta = (ocp.terminal_cost(X[0], t0, hi, tf)
-                                 - ocp.terminal_cost(X[0], t0, lo, tf))
-                    gx[point, d] += delta / (2.0 * h)
+            ends = np.concatenate([X[0], X[-1]])[None, :]
+            g_end = _central_differences(endpoint_cost, ends, 1e-6,
+                                         np.empty_like(ends))[0]
+            gx[0] += g_end[:na]
+            gx[-1] += g_end[na:]
         return g
 
     hess_step = float(np.finfo(float).eps) ** 0.25
 
     def lagrangian_hessian(z: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-        """Exact Hessian of objective(z) + multipliers @ constraints(z).
+        """Hessian of objective(z) + multipliers @ constraints(z).
 
-        Quadrature cost and collocated dynamics are separable across
-        collocation points, so the Hessian is a sum of per-point
-        (na + nu) blocks plus one endpoint block for the Mayer term; each
-        stencil evaluation below is vectorized over every point at once.
-        The differencing part of the defects and the pins are linear and
-        drop out.
+        A 4-point second-difference stencil with step eps^(1/4) (relative
+        error near 1e-8), not an analytic Hessian.  Quadrature cost and
+        collocated dynamics are separable across collocation points, so
+        the Hessian is a sum of per-point (na + nu) blocks plus one
+        endpoint block for the Mayer term; each stencil evaluation is
+        vectorized over every point at once.  The differencing part of
+        the defects and the pins are linear and drop out.
         """
         X, U = layout.split(z)
         lam = np.asarray(multipliers, dtype=float)
@@ -366,62 +404,17 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
             return val
 
         nd = na + nu
-        V0 = np.hstack([X[:-1], U])
-        step = hess_step * (1.0 + np.abs(V0))
-
-        def shifted(*moves):
-            V = V0.copy()
-            for d, sign in moves:
-                V[:, d] += sign * step[:, d]
-            return point_scalar(V)
-
-        centre = point_scalar(V0)
-        blocks = np.empty((C, nd, nd))
-        for a in range(nd):
-            blocks[:, a, a] = (shifted((a, +1)) - 2.0 * centre
-                               + shifted((a, -1))) / step[:, a] ** 2
-            for b in range(a + 1, nd):
-                cross = (shifted((a, +1), (b, +1)) - shifted((a, +1), (b, -1))
-                         - shifted((a, -1), (b, +1)) + shifted((a, -1), (b, -1)))
-                cross /= 4.0 * step[:, a] * step[:, b]
-                blocks[:, a, b] = cross
-                blocks[:, b, a] = cross
-
+        blocks = _second_differences(point_scalar, np.hstack([X[:-1], U]),
+                                     hess_step)
         hess = np.zeros((layout.n_vars, layout.n_vars))
-        colloc = np.arange(C)
-        var_of_dim = [colloc * na + d if d < na
-                      else P * na + colloc * nu + (d - na) for d in range(nd)]
         for a in range(nd):
             for b in range(nd):
                 hess[var_of_dim[a], var_of_dim[b]] += blocks[:, a, b]
 
         if ocp.terminal_cost is not None:
             idx = np.concatenate([np.arange(na), (P - 1) * na + np.arange(na)])
-            v0 = z[idx].copy()
-            estep = hess_step * (1.0 + np.abs(v0))
-
-            def endpoint_scalar(v):
-                return float(ocp.terminal_cost(v[:na], t0, v[na:], tf))
-
-            def eshift(*moves):
-                v = v0.copy()
-                for d, sign in moves:
-                    v[d] += sign * estep[d]
-                return endpoint_scalar(v)
-
-            m = idx.size
-            block = np.empty((m, m))
-            ecentre = endpoint_scalar(v0)
-            for a in range(m):
-                block[a, a] = (eshift((a, +1)) - 2.0 * ecentre
-                               + eshift((a, -1))) / estep[a] ** 2
-                for b in range(a + 1, m):
-                    cross = (eshift((a, +1), (b, +1)) - eshift((a, +1), (b, -1))
-                             - eshift((a, -1), (b, +1)) + eshift((a, -1), (b, -1)))
-                    cross /= 4.0 * estep[a] * estep[b]
-                    block[a, b] = cross
-                    block[b, a] = cross
-            hess[np.ix_(idx, idx)] += block
+            hess[np.ix_(idx, idx)] += _second_differences(
+                endpoint_cost, z[idx][None, :], hess_step)[0]
         return hess
 
     # constraint rows: defects, initial pins, terminal pins
@@ -457,34 +450,21 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
                 ocp.jac_x(Xc, U, p_nom, times), dtype=float
             ).reshape(C, na, na)
         else:
-            for d in range(na):
-                h = jac_step * (1.0 + np.abs(Xc[:, d]))
-                hi, lo = Xc.copy(), Xc.copy()
-                hi[:, d] += h
-                lo[:, d] -= h
-                out[:, :, d] = (eval_rates(hi, U, times)
-                                - eval_rates(lo, U, times)) / (2.0 * h)[:, None]
-        for d in range(nu):
-            h = jac_step * (1.0 + np.abs(U[:, d]))
-            hi, lo = U.copy(), U.copy()
-            hi[:, d] += h
-            lo[:, d] -= h
-            out[:, :, na + d] = (eval_rates(Xc, hi, times)
-                                 - eval_rates(Xc, lo, times)) / (2.0 * h)[:, None]
+            _central_differences(lambda V: eval_rates(V, U, times), Xc,
+                                 jac_step, out[:, :, :na])
+        _central_differences(lambda V: eval_rates(Xc, V, times), U,
+                             jac_step, out[:, :, na:])
         return out
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         X, U = layout.split(z)
         Xc = X[:-1]
         J = jac_static.copy()
-        q = np.arange(C)
         Fj = dynamics_point_jacobians(Xc, U, times)
         for i in range(na):
-            rows = q * na + i
-            for d in range(na):
-                J[rows, q * na + d] -= h_point * Fj[:, i, d]
-            for d in range(nu):
-                J[rows, P * na + q * nu + d] -= h_point * Fj[:, i, na + d]
+            rows = colloc * na + i
+            for d in range(na + nu):
+                J[rows, var_of_dim[d]] -= h_point * Fj[:, i, d]
         return J
 
     return NlpProblem(

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from guidedog.ocp import DesensitizationSpec, OcpDefinition, example_problem
 from guidedog.sensitivity import (
+    _unvec_batch,
+    _vec_batch,
     augment,
     penalty_value,
     unvec_sensitivity,
@@ -210,3 +214,40 @@ def test_sensitivity_matches_central_differences():
     s_end = sol.y[1, -1]
     fd = (x_end(alpha + delta) - x_end(alpha - delta)) / (2.0 * delta)
     assert abs(s_end - fd) / abs(fd) < 1e-4
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sensitivity_stacks(draw):
+    # a (P, n, m) stack of sensitivity matrices, any finite values
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+             draw(st.integers(1, 4)))
+    return draw(arrays(np.float64, shape, elements=_finite))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sensitivity_stacks())
+def test_unvec_inverts_vec_bit_for_bit(stack):
+    n, m = stack.shape[1:]
+    for S in stack:
+        back = unvec_sensitivity(vec_sensitivity(S), n, m)
+        assert back.shape == S.shape
+        assert back.tobytes() == S.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sensitivity_stacks())
+def test_batched_vec_matches_per_row_column_major(stack):
+    P, n, m = stack.shape
+    rows = _vec_batch(stack)
+    assert rows.shape == (P, n * m)
+    for i in range(P):
+        assert rows[i].tobytes() == vec_sensitivity(stack[i]).tobytes()
+        assert rows[i].tobytes() == stack[i].ravel(order="F").tobytes()
+    mats = _unvec_batch(rows, n, m)
+    assert mats.shape == (P, n, m)
+    for i in range(P):
+        assert mats[i].tobytes() == unvec_sensitivity(rows[i], n, m).tobytes()
+        assert mats[i].tobytes() == stack[i].tobytes()

@@ -161,19 +161,6 @@ def test_finite_time_blowup_raises_runtime_error():
         integrate(ocp, traj, np.array([0.0]), (0.0, 2.0))
 
 
-def test_state_at_interior_and_sampling():
-    ocp = _plant(lambda x, u, p, t: -x)
-    traj = _trajectory(ocp, build_mesh(0.0, 1.0, 2, 3))
-    sim = integrate(ocp, traj, np.array([1.0]), (0.0, 1.0))
-    assert sim.state_at(0.5)[0] == pytest.approx(np.exp(-0.5), abs=1e-9)
-    grid = np.array([0.0, 0.25, 0.75, 1.0])
-    samples = sim.sample(grid)
-    assert samples.shape == (4, 1)
-    assert np.allclose(samples[:, 0], np.exp(-grid), atol=1e-9)
-    with pytest.raises(ValueError):
-        sim.state_at(1.2)
-
-
 def test_perturbed_parameter_changes_the_flow():
     ocp = _plant(lambda x, u, p, t: -p[0] * x)
     traj = _trajectory(ocp, build_mesh(0.0, 1.0, 2, 3))
@@ -207,10 +194,10 @@ def test_simresult_validates_grid():
     states = np.zeros((4, 1))
     controls = np.zeros((4, 1))
     with pytest.raises(ValueError):
-        SimResult(0.0, 1.0, times, states, controls, [])
+        SimResult(0.0, 1.0, times, states, controls)
     with pytest.raises(ValueError):
         SimResult(0.0, 2.0, np.array([0.0, 0.5, 1.0]),
-                  np.zeros((3, 1)), np.zeros((3, 1)), [])
+                  np.zeros((3, 1)), np.zeros((3, 1)))
 
 
 def test_each_segment_flies_its_own_interval_control():

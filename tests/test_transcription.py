@@ -7,6 +7,8 @@ from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sensitivity import augment
 from guidedog.transcription import (
     Mesh,
+    _central_differences,
+    _second_differences,
     base_objective,
     build_mesh,
     extract_solution,
@@ -186,11 +188,10 @@ def test_interface_point_feeds_both_neighbouring_intervals():
     z = 0.1 * rng.standard_normal(nlp.n_vars)
     c0 = nlp.constraints(z)
     # support point 4 is the last of interval 0 and the first of interval 1
-    idx = layout.state_var_index(4, 0)
-    zp = z.copy()
-    zp[idx] += 0.05
-    dc = nlp.constraints(zp) - c0
     n_aug = layout.n_aug
+    zp = z.copy()
+    zp[4 * n_aug] += 0.05
+    dc = nlp.constraints(zp) - c0
     first = dc[: 4 * n_aug]
     second = dc[4 * n_aug: 8 * n_aug]
     assert np.max(np.abs(first)) > 1e-6
@@ -444,3 +445,113 @@ def test_constraint_jacobian_matches_fd_nonvectorized_two_states():
     rng = np.random.default_rng(29)
     _assert_jacobian_consistent(nlp, 0.5 * rng.standard_normal(nlp.n_vars))
 
+
+
+def _double_integrator(x, u, p, t):
+    # linear dynamics: the Lagrangian Hessian keeps only the cost terms
+    x, u = np.asarray(x), np.asarray(u)
+    return np.stack([x[..., 1], u[..., 0]], axis=-1)
+
+
+def _coupled_running_cost(x, u, t):
+    # L = x1 u + x2^2 u^2 / 2 couples each state with the control
+    x, u = np.asarray(x), np.asarray(u)
+    return x[..., 0] * u[..., 0] + 0.5 * x[..., 1] ** 2 * u[..., 0] ** 2
+
+
+def _coupled_terminal_cost(x0, t0, xf, tf):
+    # Phi = a d + b^2 c + a b + c d with (a, b) = x(t0), (c, d) = x(tf)
+    a, b = x0
+    c, d = xf
+    return a * d + b * b * c + a * b + c * d
+
+
+def test_mayer_and_running_cross_terms_match_hand_derivatives():
+    ocp = OcpDefinition(
+        n_states=2, n_controls=1, n_params=0,
+        dynamics=_double_integrator, jac_x=None, jac_p=None,
+        running_cost=_coupled_running_cost,
+        terminal_cost=_coupled_terminal_cost,
+        nominal_params=np.zeros(0), time_domain=(0.0, 2.0),
+    )
+    mesh = build_mesh(0.0, 2.0, 2, 3)
+    nlp = transcribe(ocp, mesh)
+    P, C = nlp.layout.n_state_points, nlp.layout.n_colloc
+    rng = np.random.default_rng(31)
+    z = 0.5 * rng.standard_normal(nlp.n_vars)
+    lam = rng.standard_normal(nlp.n_constraints)
+    X = z[: 2 * P].reshape(P, 2)
+    U = z[2 * P:]
+    _, weights = _point_geometry(mesh)
+
+    grad = np.zeros(nlp.n_vars)
+    hand = np.zeros((nlp.n_vars, nlp.n_vars))
+    for q in range(C):
+        x1, x2, u = X[q, 0], X[q, 1], U[q]
+        w = weights[q]
+        cols = [2 * q, 2 * q + 1, 2 * P + q]
+        grad[cols] += w * np.array([u, x2 * u * u, x1 + x2 * x2 * u])
+        hand[np.ix_(cols, cols)] += w * np.array([
+            [0.0, 0.0, 1.0],
+            [0.0, u * u, 2.0 * x2 * u],
+            [1.0, 2.0 * x2 * u, x2 * x2],
+        ])
+    (a, b), (c, d) = X[0], X[-1]
+    ends = [0, 1, 2 * (P - 1), 2 * (P - 1) + 1]
+    grad[ends] += [d + b, 2.0 * b * c + a, b * b + d, a + c]
+    endpoint = np.array([
+        [0.0, 1.0, 0.0, 1.0],
+        [1.0, 2.0 * c, 2.0 * b, 0.0],
+        [0.0, 2.0 * b, 0.0, 1.0],
+        [1.0, 0.0, 1.0, 0.0],
+    ])
+    hand[np.ix_(ends, ends)] += endpoint
+
+    assert np.allclose(nlp.gradient(z), grad, rtol=1e-8, atol=1e-9)
+    hess = nlp.lagrangian_hessian(z, lam)
+    assert np.allclose(hess, hand, rtol=1e-6, atol=1e-6)
+    # no per-point term touches the endpoint block's off-diagonal
+    # entries, so these check the Mayer cross-terms alone, the
+    # x(t0)-x(tf) couplings included
+    for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
+        assert hess[ends[i], ends[j]] == pytest.approx(endpoint[i, j], abs=1e-6)
+        assert hess[ends[j], ends[i]] == pytest.approx(endpoint[i, j], abs=1e-6)
+
+
+def _poly_rows(V):
+    # (B, 3) -> (B, 2) with products and sums only, so a row gives the
+    # same bits alone or inside any batch
+    a, b, c = V[:, 0], V[:, 1], V[:, 2]
+    return np.stack([a * a * b + b * c, c * c * a - 2.0 * b], axis=1)
+
+
+def test_difference_helpers_match_row_by_row_stencils():
+    rng = np.random.default_rng(37)
+    V = rng.standard_normal((5, 3))
+    first = _central_differences(_poly_rows, V, 1e-6, np.empty((5, 2, 3)))
+    second = _second_differences(lambda W: _poly_rows(W)[:, 1], V, 1e-4)
+
+    def moved(row, *moves):
+        W = row.copy()
+        for d, step in moves:
+            W[0, d] += step
+        return _poly_rows(W)[0]
+
+    for i in range(V.shape[0]):
+        row = V[i:i + 1]
+        h = 1e-6 * (1.0 + np.abs(row[0]))
+        k = 1e-4 * (1.0 + np.abs(row[0]))
+        for a in range(3):
+            ref = (moved(row, (a, h[a])) - moved(row, (a, -h[a]))) / (2.0 * h[a])
+            assert np.array_equal(first[i, :, a], ref)
+            for b in range(3):
+                if a == b:
+                    ref = (moved(row, (a, k[a])) - 2.0 * moved(row)
+                           + moved(row, (a, -k[a]))) / k[a] ** 2
+                else:
+                    ref = (moved(row, (a, k[a]), (b, k[b]))
+                           - moved(row, (a, k[a]), (b, -k[b]))
+                           - moved(row, (a, -k[a]), (b, k[b]))
+                           + moved(row, (a, -k[a]), (b, -k[b])))
+                    ref = ref / (4.0 * k[a] * k[b])
+                assert second[i, a, b] == ref[1]
