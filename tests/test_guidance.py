@@ -13,9 +13,15 @@ from guidedog.guidance import (
 )
 from guidedog.montecarlo import study_mesh
 from guidedog.ocp import example_problem
+from guidedog.sensitivity import augment
 from guidedog.simulation import integrate
 from guidedog.sqp import SolverOptions, solve as sqp_solve
-from guidedog.transcription import base_objective, build_mesh, example_mesh
+from guidedog.transcription import (
+    base_objective,
+    build_mesh,
+    example_mesh,
+    transcribe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +301,47 @@ def test_desensitized_reference_counts_both_stages(problem, monkeypatch):
     assert len(attempts) >= 2
     assert sol.iterations == sum(attempts)
     assert sol.iterations > attempts[-1]
+
+
+def _staged_guess(problem, mesh, s0):
+    """Plain reference on ``mesh``, its node values, the augmented NLP
+    with S(t0) = s0, and the staged guess built from them."""
+    ocp, spec = problem
+    traj, sol = solve_reference(ocp, None, GuidanceConfig(method="OC",
+                                                          mesh=mesh))
+    plain = transcribe(ocp, mesh)
+    aug = augment(ocp, spec, s0=s0)
+    nlp_aug = transcribe(aug, mesh)
+    z = guidance._staged_sensitivity_guess(ocp, aug, nlp_aug, traj)
+    return traj, plain.layout.split(sol.z), nlp_aug, z
+
+
+def test_staged_guess_collocates_sensitivity_on_default_mesh(problem):
+    # on the default mesh the 0.1-gap rule keeps the collocated profile:
+    # the guess satisfies the augmented NLP's S defects and S(t0) pin,
+    # and its x and u are the plain solution's node values
+    s0 = np.array([[0.3]])
+    traj, (X, U), nlp_aug, z = _staged_guess(problem, example_mesh(), s0)
+    Xa, Ua = nlp_aug.layout.split(z)
+    assert np.array_equal(Xa[:, :1], X)
+    assert np.array_equal(Ua, U)
+    # example layout: [x, S] per point, so S defects are the odd defect
+    # rows; the initial pins are x(t0) then S(t0)
+    C = nlp_aug.layout.n_colloc
+    c = nlp_aug.constraints(z)
+    s_rows = np.append(c[1:2 * C:2], c[2 * C + 1])
+    assert np.max(np.abs(s_rows)) <= 1e-9 * (1.0 + np.max(np.abs(Xa[:, 1])))
+    assert Xa[0, 1] == 0.3
+
+
+def test_staged_guess_propagates_sensitivity_on_study_mesh(problem):
+    # on the study mesh the collocated profile is ~11x the scale off the
+    # true sensitivity, so the guess carries the stably stepped one
+    traj, (X, U), nlp_aug, z = _staged_guess(problem, study_mesh(),
+                                             np.zeros((1, 1)))
+    Xa, Ua = nlp_aug.layout.split(z)
+    assert np.array_equal(Xa[:, :1], X)
+    assert np.array_equal(Ua, U)
+    stable = guidance._propagated_sensitivity(problem[0], traj,
+                                              np.zeros((1, 1)))
+    assert np.array_equal(Xa[:, 1], stable[:, 0, 0])
