@@ -25,7 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from .lgr import basis
 from .ocp import OcpDefinition
 from .sensitivity import augment
 from .simulation import integrate
@@ -36,6 +35,7 @@ from .transcription import (
     example_mesh,
     extract_solution,
     pack_values,
+    sensitivity_block,
     transcribe,
 )
 
@@ -207,40 +207,6 @@ def _jac_profiles(ocp: OcpDefinition, traj: Trajectory, k: int,
     return A, B
 
 
-def _collocated_sensitivity(ocp: OcpDefinition, traj: Trajectory,
-                            s0: np.ndarray) -> np.ndarray:
-    """S at the support points solving the discrete sensitivity defects.
-
-    dS/dt = A S + B is linear, so on each interval the collocation
-    conditions reduce to one linear solve; the result satisfies the
-    transcribed sensitivity rows exactly on the trajectory's own mesh.
-    """
-    n, m = ocp.n_states, ocp.n_params
-    s_here = s0
-    out = [s_here]
-    eye = np.eye(n)
-    for k, nk in enumerate(traj.orders):
-        h = 0.5 * (traj.interval_times[k + 1] - traj.interval_times[k])
-        D = basis(nk).diff_matrix
-        A, B = _jac_profiles(ocp, traj, k, traj.control_times[k])
-        # unknowns: S at the nk support points past the interval start
-        M = np.kron(D[:, 1:], eye)
-        rhs = np.empty((nk * n, m))
-        for r in range(nk):
-            rhs[r * n:(r + 1) * n] = h * B[r] - D[r, 0] * s_here
-            if r == 0:
-                rhs[:n] += h * (A[0] @ s_here)
-            else:
-                M[r * n:(r + 1) * n, (r - 1) * n:r * n] -= h * A[r]
-        try:
-            sol = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"sensitivity staging failed: {exc}") from exc
-        out.extend(sol[(j - 1) * n: j * n] for j in range(1, nk + 1))
-        s_here = sol[(nk - 1) * n:]
-    return np.stack(out)
-
-
 def _propagated_sensitivity(ocp: OcpDefinition, traj: Trajectory,
                             s0: np.ndarray) -> np.ndarray:
     """S at the support points by A-stable stepping of dS/dt = A S + B.
@@ -278,30 +244,36 @@ def _propagated_sensitivity(ocp: OcpDefinition, traj: Trajectory,
     return np.stack(out)
 
 
-def _staged_sensitivity_guess(ocp: OcpDefinition, aug_prob, nlp_aug,
-                              traj: Trajectory) -> np.ndarray:
+def _staged_sensitivity_guess(nlp_aug, traj: Trajectory) -> np.ndarray:
     """Augmented warm start: reference (x, u) plus S propagated along it.
 
-    Two sensitivity profiles are computed: one solving the transcribed
+    Two sensitivity profiles are computed: one by stable time stepping
+    of the true linear dynamics, and one solving the transcribed
     collocation conditions exactly (ideal when the mesh resolves S --
-    the seeded solve becomes a one-step Newton polish) and one by
-    stable time stepping of the true linear dynamics.  When they
-    disagree the mesh is too coarse for the collocated profile to mean
-    anything, and the stable one makes the far better seed.  ``traj``
-    must lie on ``nlp_aug``'s mesh.
+    the seeded solve becomes a one-step Newton polish).  The S defects
+    and S(t0) pins of ``nlp_aug`` are linear in S, so the collocated
+    profile is one linear solve on their block of the NLP's Jacobian.
+    When the two disagree the mesh is too coarse for the collocated
+    profile to mean anything, and the stable one makes the far better
+    seed.  ``traj`` must lie on ``nlp_aug``'s mesh.
     """
-    n, m = ocp.n_states, ocp.n_params
-    s0 = np.asarray(aug_prob.s0, dtype=float).reshape(n, m)
-    s_colloc = _collocated_sensitivity(ocp, traj, s0)
-    s_stable = _propagated_sensitivity(ocp, traj, s0)
-    gap = float(np.max(np.abs(s_colloc - s_stable)))
-    scale = 1.0 + float(np.max(np.abs(s_stable)))
-    s_rows = (s_colloc if gap <= 0.1 * scale else s_stable)
-    s_rows = s_rows.transpose(0, 2, 1).reshape(-1, n * m)
+    aug = nlp_aug.source
+    s_stable = _propagated_sensitivity(aug.base, traj, aug.s0)
+    s_rows = s_stable.transpose(0, 2, 1).reshape(-1, aug.n_x * aug.n_param)
     sup, col = nlp_aug.mesh.node_times()
-    states = traj.full_state_at(sup)
-    controls = traj.control_at(col)
-    return pack_values(nlp_aug.layout, np.hstack([states, s_rows]), controls)
+    states = np.hstack([traj.full_state_at(sup), s_rows])
+    z = pack_values(nlp_aug.layout, states, traj.control_at(col))
+    rows, cols = sensitivity_block(nlp_aug)
+    try:
+        step = np.linalg.solve(nlp_aug.jacobian(z)[np.ix_(rows, cols)],
+                               nlp_aug.constraints(z)[rows])
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"sensitivity staging failed: {exc}") from exc
+    # the step is the collocated profile's gap to the stable one
+    scale = 1.0 + float(np.max(np.abs(s_stable)))
+    if float(np.max(np.abs(step))) <= 0.1 * scale:
+        z[cols] -= step
+    return z
 
 
 def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
@@ -329,7 +301,7 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
         raise ValueError(f"method {cfg.method} requires a desensitization spec")
     aug_prob = augment(ocp, spec)
     nlp_aug = transcribe(aug_prob, mesh)
-    z0 = _staged_sensitivity_guess(ocp, aug_prob, nlp_aug, traj)
+    z0 = _staged_sensitivity_guess(nlp_aug, traj)
     sol_aug, spent = _seed_and_solve(nlp_aug, z0, cfg.solver)
     if sol_aug.status != "converged":
         raise RuntimeError(
@@ -387,8 +359,7 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
             traj_plain = extract_solution(nlp_plain, sol_plain.z,
                                           objective_value=sol_plain.objective)
             try:
-                z_staged = _staged_sensitivity_guess(shrunk, problem, nlp,
-                                                     traj_plain)
+                z_staged = _staged_sensitivity_guess(nlp, traj_plain)
             except RuntimeError:
                 z_staged = None
             if z_staged is not None:

@@ -177,9 +177,7 @@ def differentiation_matrix(nodes: np.ndarray, noncollocated: float = 1.0) -> np.
 class LgrBasisSet:
     """Nodes, weights and differentiation matrix for one mesh interval."""
 
-    n_collocation: int
     nodes: np.ndarray            # (n,), strictly increasing, nodes[0] = -1
-    noncollocated_node: float    # +1, the state-only support point
     weights: np.ndarray          # (n,), positive, sums to 2
     diff_matrix: np.ndarray      # (n, n + 1)
     support: np.ndarray = field(repr=False, default=None)        # nodes + [+1]
@@ -198,9 +196,7 @@ def basis(n: int) -> LgrBasisSet:
     nodes = lgr_nodes(n)
     support = np.concatenate((nodes, [1.0]))
     made = LgrBasisSet(
-        n_collocation=n,
         nodes=nodes,
-        noncollocated_node=1.0,
         weights=lgr_weights(nodes),
         diff_matrix=differentiation_matrix(nodes),
         support=support,

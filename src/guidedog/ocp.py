@@ -13,16 +13,13 @@ desensitization machinery targets.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "OcpDefinition",
     "DesensitizationSpec",
-    "JacobianMismatch",
-    "JacobianReport",
-    "validate_jacobians",
     "example_problem",
 ]
 
@@ -100,19 +97,17 @@ class OcpDefinition:
 
 @dataclass(frozen=True)
 class DesensitizationSpec:
-    """Weights of the sensitivity trace penalty tr(W . G S P S' G').
+    """Weights of the terminal sensitivity penalty tr(W . G S P S' G').
 
     ``penalty_jacobian`` is G = dh/dx (r x n) for the penalty function
-    h(x); ``terminal_weight`` is the r x r terminal weight, and
-    ``running_weight`` an optional t -> (r x r) weight under the time
-    integral (None means no running penalty).  ``param_covariance`` is
-    the m x m parameter covariance P.
+    h(x), evaluated at the final state; ``terminal_weight`` is the
+    r x r weight W, and ``param_covariance`` the m x m parameter
+    covariance P.
     """
 
     penalty_jacobian: Callable
     terminal_weight: np.ndarray
     param_covariance: np.ndarray
-    running_weight: Optional[Callable] = None
 
     def __post_init__(self):
         for name in ("terminal_weight", "param_covariance"):
@@ -124,70 +119,6 @@ class DesensitizationSpec:
             if np.min(np.linalg.eigvalsh(w)) < -1e-12:
                 raise ValueError(f"{name} must be positive semi-definite")
             object.__setattr__(self, name, w)
-
-
-class JacobianMismatch(ValueError):
-    """Analytic Jacobian disagrees with finite differences."""
-
-
-@dataclass
-class JacobianReport:
-    max_rel_discrepancy: float
-    worst_entry: str = ""
-    n_points: int = 0
-
-
-def _central_jacobian(func, base, scale=1e-6):
-    base = np.asarray(base, dtype=float)
-    cols = []
-    for j in range(base.size):
-        h = scale * (1.0 + abs(base[j]))
-        hi = base.copy()
-        lo = base.copy()
-        hi[j] += h
-        lo[j] -= h
-        cols.append((func(hi) - func(lo)) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
-def validate_jacobians(ocp: OcpDefinition, sample_points: Sequence, p=None,
-                       tol: float = 1e-4) -> JacobianReport:
-    """Check jac_x / jac_p against central finite differences of the dynamics.
-
-    ``sample_points`` is a sequence of (x, u, t) tuples.  Raises
-    :class:`JacobianMismatch` naming the worst entry if the relative
-    discrepancy exceeds ``tol`` anywhere (default 1e-4); otherwise
-    returns a report with the largest discrepancy seen.
-    """
-    if ocp.jac_x is None or ocp.jac_p is None:
-        raise ValueError("problem has no analytic Jacobian callbacks to validate")
-    p = ocp.nominal_params if p is None else np.asarray(p, dtype=float)
-    worst = 0.0
-    worst_name = ""
-    for x, u, t in sample_points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        pairs = (
-            ("jac_x", np.atleast_2d(ocp.jac_x(x, u, p, t)),
-             _central_jacobian(lambda xx: ocp.dynamics(xx, u, p, t), x)),
-            ("jac_p", np.atleast_2d(ocp.jac_p(x, u, p, t)),
-             _central_jacobian(lambda pp: ocp.dynamics(x, u, pp, t), p)),
-        )
-        for name, analytic, fd in pairs:
-            if analytic.shape != fd.shape:
-                raise ValueError(f"{name} returned shape {analytic.shape}, expected {fd.shape}")
-            denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
-            rel = np.abs(analytic - fd) / denom
-            idx = np.unravel_index(np.argmax(rel), rel.shape)
-            if rel[idx] > worst:
-                worst = float(rel[idx])
-                worst_name = f"{name}[{idx[0]},{idx[1]}] at (x={x}, u={u}, t={t})"
-    if worst > tol:
-        raise JacobianMismatch(
-            f"Jacobian check failed: {worst_name} differs from finite "
-            f"differences by relative {worst:.3e} (tolerance {tol:.1e})"
-        )
-    return JacobianReport(worst, worst_name, len(sample_points))
 
 
 # --- built-in example problem ---------------------------------------------
@@ -222,8 +153,7 @@ def _unit_penalty_jacobian(x):
 class _ExampleSpecTemplate:
     """Builds the example's DesensitizationSpec for given (beta, q).
 
-    sigma = q * alpha and P = sigma^2; the terminal weight is beta and
-    there is no running penalty.
+    sigma = q * alpha and P = sigma^2; the terminal weight is beta.
     """
 
     alpha: float

@@ -7,9 +7,9 @@ dx/dt = f(x, u, p, t) obeys the variational equation
 
 so stacking vec(S) onto the state vector turns sensitivity shaping
 into an ordinary optimal control problem: the cost gains the trace
-penalty tr(W . (G S) P (G S)') at the final time (and optionally under
-the integral), where G is the Jacobian of a user-chosen penalty
-function of the state and P the parameter covariance.
+penalty tr(W . (G S) P (G S)') at the final time, where G is the
+Jacobian of a user-chosen penalty function of the state and P the
+parameter covariance.
 
 vec(S) is column-major throughout: transcription, interpolation and
 guidance restarts all rely on that ordering.
@@ -79,34 +79,13 @@ class _AugmentedDynamics:
 
 @dataclass(frozen=True)
 class _AugmentedRunningCost:
+    """The base running cost read from the physical slice of the state."""
+
     base: OcpDefinition
-    spec: DesensitizationSpec
 
     def __call__(self, xa, u, t):
-        n, m = self.base.n_states, self.base.n_params
         xa = np.asarray(xa, dtype=float)
-        batched = xa.ndim == 2
-        x = xa[:, :n] if batched else xa[:n]
-        out = 0.0
-        if self.base.running_cost is not None:
-            out = np.asarray(self.base.running_cost(x, u, t), dtype=float)
-        if self.spec.running_weight is not None:
-            P = self.spec.param_covariance
-            if batched:
-                pen = np.empty(xa.shape[0])
-                ts = np.broadcast_to(np.asarray(t, dtype=float), (xa.shape[0],))
-                for i in range(xa.shape[0]):
-                    S = unvec_sensitivity(xa[i, n:], n, m)
-                    pen[i] = penalty_value(S, self.spec.penalty_jacobian(x[i]),
-                                           self.spec.running_weight(ts[i]), P)
-            else:
-                S = unvec_sensitivity(xa[n:], n, m)
-                pen = penalty_value(S, self.spec.penalty_jacobian(x),
-                                    self.spec.running_weight(float(t)), P)
-            out = out + pen
-        if batched and np.ndim(out) == 0:
-            out = np.full(xa.shape[0], float(out))
-        return out
+        return self.base.running_cost(xa[..., : self.base.n_states], u, t)
 
 
 @dataclass(frozen=True)
@@ -146,11 +125,13 @@ class AugmentedOcp:
 
 def augment(ocp: OcpDefinition, spec: DesensitizationSpec,
             s0: Optional[np.ndarray] = None) -> AugmentedOcp:
-    """Stack vec(S) onto the state and add the trace penalty to the cost.
+    """Stack vec(S) onto the state and add the terminal trace penalty.
 
-    With zero weights the augmented cost equals the base cost at every
-    feasible point, so beta = 0 degenerates exactly to the original
-    problem (up to the extra, cost-free sensitivity states).
+    The running cost stays the base one, read from the physical states,
+    and the Mayer term gains tr(W . (G S) P (G S)') at S(tf).  With a
+    zero terminal weight the augmented cost equals the base cost at
+    every feasible point, so beta = 0 degenerates exactly to the
+    original problem (up to the extra, cost-free sensitivity states).
     """
     if isinstance(ocp, AugmentedOcp):
         raise TypeError("problem is already augmented")
@@ -187,7 +168,8 @@ def augment(ocp: OcpDefinition, spec: DesensitizationSpec,
         dynamics=_AugmentedDynamics(ocp),
         jac_x=None,
         jac_p=None,
-        running_cost=_AugmentedRunningCost(ocp, spec),
+        running_cost=(None if ocp.running_cost is None
+                      else _AugmentedRunningCost(ocp)),
         terminal_cost=_AugmentedTerminalCost(ocp, spec),
         initial_state=np.concatenate((init, vec_sensitivity(s0))),
         terminal_state=np.concatenate((term, np.full(n * m, np.nan))),

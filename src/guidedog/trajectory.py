@@ -32,7 +32,7 @@ class Trajectory:
     tf: float
     interval_times: np.ndarray          # (K + 1,), seconds
     orders: tuple                        # N_k per interval
-    state_values: list                   # per interval (N_k + 1, n_total)
+    state_values: list                   # per interval (N_k + 1, full state width)
     control_values: list                 # per interval (N_k, n_controls)
     n_states: int                        # physical state count n
     sens_shape: Optional[tuple] = None   # (n, m) when sensitivities are carried
@@ -57,10 +57,6 @@ class Trajectory:
     @property
     def n_intervals(self) -> int:
         return len(self.orders)
-
-    @property
-    def n_total(self) -> int:
-        return self.state_values[0].shape[1]
 
     def locate(self, t):
         """Index of the mesh interval containing each time (right-continuous)."""
@@ -124,7 +120,4 @@ class Trajectory:
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Stacked full-state and control samples at the given times."""
         return self.full_state_at(times), self.control_at(times)
-
-    def terminal_state(self) -> np.ndarray:
-        return self.state_values[-1][-1, : self.n_states].copy()
 

@@ -35,6 +35,7 @@ __all__ = [
     "transcribe",
     "extract_solution",
     "pack_values",
+    "sensitivity_block",
     "base_objective",
 ]
 
@@ -156,6 +157,24 @@ class Layout:
         X = z[: P * na].reshape(P, na)
         U = z[P * na: P * na + self.n_colloc * nu].reshape(self.n_colloc, nu)
         return X, U
+
+
+def sensitivity_block(nlp: NlpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the sensitivity states of an augmented NLP.
+
+    The rows are the S defects at every collocation point followed by
+    the S(t0) pins; the columns hold S at every support point.  The
+    block is square, and those rows are linear in those columns.
+    """
+    layout, aug = nlp.layout, nlp.source
+    dims = np.arange(aug.n_x, layout.n_aug)
+    cols = (np.arange(layout.n_state_points)[:, None] * layout.n_aug
+            + dims).ravel()
+    defects = (np.arange(layout.n_colloc)[:, None] * layout.n_aug
+               + dims).ravel()
+    init_idx = _pin_indices(aug.ocp.initial_state)[0]
+    pins = layout.n_colloc * layout.n_aug + np.searchsorted(init_idx, dims)
+    return np.concatenate([defects, pins]), cols
 
 
 def pack_values(layout: Layout, states: np.ndarray,

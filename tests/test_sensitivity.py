@@ -16,12 +16,11 @@ from guidedog.sensitivity import (
 )
 
 
-def scalar_spec(beta=1.0, p_var=1.0, running=None):
+def scalar_spec(beta=1.0, p_var=1.0):
     return DesensitizationSpec(
         penalty_jacobian=lambda x: np.array([[1.0]]),
         terminal_weight=np.array([[beta]]),
         param_covariance=np.array([[p_var]]),
-        running_weight=running,
     )
 
 
@@ -155,17 +154,6 @@ def test_zero_weights_degenerate_to_base_cost():
         assert_allclose(aug.ocp.running_cost(xa, u, 3.0),
                         ocp.running_cost(xa[:1], u, 3.0))
         assert aug.ocp.terminal_cost(xa, 0.0, rng.standard_normal(2), 50.0) == 0.0
-
-
-def test_running_penalty_enters_cost():
-    ocp, _ = example_problem(2.0)
-    spec = scalar_spec(beta=0.0, p_var=4.0, running=lambda t: np.array([[2.0]]))
-    aug = augment(ocp, spec)
-    xa = np.array([1.0, 3.0])  # S = 3
-    u = np.array([0.0])
-    base = ocp.running_cost(xa[:1], u, 0.0)
-    # penalty = 2 * (1*3) * 4 * 3 = 72
-    assert_allclose(aug.ocp.running_cost(xa, u, 0.0), base + 72.0)
 
 
 def test_sensitivity_analytic_linear_oracle():

@@ -236,7 +236,7 @@ def test_exponential_growth_reproduced_and_control_stays_zero():
     sol = solve(nlp, initial_guess(ocp, mesh))
     assert sol.status == "converged"
     traj = extract_solution(nlp, sol.z, objective_value=sol.objective)
-    assert abs(traj.terminal_state()[0] - np.e) < 1e-8
+    assert abs(traj.state_at(traj.tf)[0] - np.e) < 1e-8
     # u does not enter the dynamics, so any control effort is wasted
     U = np.vstack(traj.control_values)
     assert np.max(np.abs(U)) < 1e-6

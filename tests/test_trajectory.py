@@ -114,7 +114,7 @@ def test_array_queries_match_scalar_queries_bitwise(case):
     times = _all_probe_times(traj, fractions)
     states = traj.full_state_at(times)
     controls = traj.control_at(times)
-    assert states.shape == (times.size, traj.n_total)
+    assert states.shape == (times.size, traj.state_values[0].shape[1])
     assert controls.shape == (times.size, 1)
     for t, x, u in zip(times, states, controls):
         assert np.array_equal(traj.full_state_at(t), x)
