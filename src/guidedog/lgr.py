@@ -22,6 +22,7 @@ __all__ = [
     "differentiation_matrix",
     "barycentric_weights",
     "barycentric_eval",
+    "barycentric_scalar",
     "basis",
     "interval_node_times",
 ]
@@ -123,9 +124,10 @@ def barycentric_eval(nodes, weights, values, tau):
 
     Returns shape ``tau.shape + values.shape[1:]``, by the second (true)
     barycentric formula (Berrut & Trefethen, SIAM Review 2004).  A query
-    equal to a node returns that node's sample exactly.  The sums run
-    along fixed axes, not through BLAS, so each row of an array query is
-    bit-identical to the same query made on its own.
+    equal to a node returns that node's sample exactly.  Both sums run
+    node by node in node order (a cumulative sum, never pairwise or
+    BLAS), so each row of an array query is bit-identical to the same
+    query made on its own and to :func:`barycentric_scalar`.
     """
     values = np.asarray(values, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -138,10 +140,47 @@ def barycentric_eval(nodes, weights, values, tau):
         delta[hit_rows] = np.inf
         delta[hit_rows, hit_cols] = 1.0
     coef = weights / delta
-    out = (coef[:, :, None] * rows).sum(axis=1) / coef.sum(axis=1)[:, None]
+    num = np.cumsum(coef[:, :, None] * rows, axis=1)[:, -1]
+    den = np.cumsum(coef, axis=1)[:, -1]
+    out = num / den[:, None]
     if hit_rows.size:
         out[hit_rows] = rows[hit_cols]
     return out.reshape(tau.shape + values.shape[1:])
+
+
+def barycentric_scalar(nodes, weights, values):
+    """:func:`barycentric_eval` bound to one polynomial, for float queries.
+
+    Returns ``evaluate(tau) -> list`` of the ``values.shape[1]`` sample
+    columns at one float ``tau``.  The nodes, weights and samples are
+    converted to Python floats once, so a query costs only float
+    arithmetic; the sums run in the same node order as
+    :func:`barycentric_eval`, so the results agree bit for bit, and a
+    node hit returns the stored sample.
+    """
+    nodes = [float(x) for x in nodes]
+    pairs = list(zip(nodes, (float(w) for w in weights)))
+    samples = np.asarray(values, dtype=float).reshape(len(nodes), -1)
+    rows = samples.tolist()
+    columns = [(col[0], col[1:]) for col in samples.T.tolist()]
+
+    def evaluate(tau):
+        try:
+            c0, *cs = [w / (tau - x) for x, w in pairs]
+        except ZeroDivisionError:   # tau - x is zero only at tau == x
+            return list(rows[nodes.index(tau)])
+        den = c0
+        for c in cs:
+            den += c
+        out = []
+        for r0, rs in columns:
+            num = c0 * r0
+            for c, r in zip(cs, rs):
+                num += c * r
+            out.append(num / den)
+        return out
+
+    return evaluate
 
 
 def differentiation_matrix(nodes: np.ndarray, noncollocated: float = 1.0) -> np.ndarray:

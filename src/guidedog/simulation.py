@@ -5,7 +5,10 @@ while the control is read from a solved trajectory.  Integration is
 split at the trajectory's mesh-interval boundaries, and each segment's
 right-hand side reads its own interval's control polynomial, up to and
 including the segment ends: no stage evaluation ever sees the
-neighbouring interval's control.
+neighbouring interval's control.  That polynomial is bound once per
+segment (:meth:`Trajectory.interval_control`), so each right-hand-side
+call evaluates it in float arithmetic, bit-identical to
+:meth:`Trajectory.interval_values`.
 """
 from __future__ import annotations
 
@@ -80,10 +83,9 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
             f"p_tilde has shape {params.shape}, expected ({ocp.n_params},)"
         )
 
-    def rhs(t, x, k):
-        u = traj.interval_values(k, t, control=True)
+    def rhs(t, x, control):
         return np.atleast_1d(np.asarray(
-            ocp.dynamics(x, u, params, t), dtype=float))
+            ocp.dynamics(x, control(t), params, t), dtype=float))
 
     # split at interior mesh boundaries so each segment lies in one
     # interval and flies that interval's control polynomial
@@ -98,8 +100,8 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a == b:
             continue
-        k = int(traj.locate(0.5 * (a + b)))
-        sol = solve_ivp(rhs, (a, b), x, method="DOP853", args=(k,),
+        control = traj.interval_control(int(traj.locate(0.5 * (a + b))))
+        sol = solve_ivp(rhs, (a, b), x, method="DOP853", args=(control,),
                         rtol=rel_tol, atol=abs_tol, dense_output=False)
         if not sol.success:
             raise RuntimeError(

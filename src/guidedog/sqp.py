@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .sensitivity import AugmentedOcp
 from .transcription import Mesh, NlpProblem
@@ -116,8 +116,27 @@ def estimate_multipliers(nlp: NlpProblem, point: np.ndarray) -> np.ndarray:
 
 
 def _least_squares_multipliers(g, J):
+    """Minimizer of |g + J' lambda|, from the normal equations.
+
+    Solves J J' lambda = -J g by a Cholesky factorization, far cheaper
+    than an SVD of J' for the full-row-rank Jacobians of a transcribed
+    problem.  A rank-deficient J (redundant rows) makes J J' singular:
+    when the factorization fails, a pivot keeps less than 1e-10 of its
+    row's squared norm, or the solution is not finite, the minimum-norm
+    ``lstsq`` estimate is returned instead, the same recovery as
+    :func:`_solve_kkt`.
+    """
     if J.shape[0] == 0:
         return np.zeros(0)
+    gram = J @ J.T
+    try:
+        factor = cho_factor(gram)
+        lam = cho_solve(factor, -(J @ g))
+        if (np.all(np.diag(factor[0]) ** 2 >= 1e-10 * np.diag(gram))
+                and np.all(np.isfinite(lam))):
+            return lam
+    except np.linalg.LinAlgError:
+        pass
     return np.linalg.lstsq(J.T, -g, rcond=None)[0]
 
 

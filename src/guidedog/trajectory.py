@@ -6,7 +6,9 @@ state, control and sensitivity at a time or an array of times inside
 its span by barycentric Lagrange interpolation over the owning mesh
 interval (right-continuous at interfaces).  :meth:`Trajectory.interval_values`
 evaluates one interval's own polynomial, up to and including its right
-end.  At a stored sample time the stored sample itself is returned.
+end, and :meth:`Trajectory.interval_control` binds one interval's control
+polynomial to a function of a float time, bit-identical to it.  At a
+stored sample time the stored sample itself is returned.
 State polynomials are supported on the N_k collocation nodes plus the
 right endpoint; control polynomials on the N_k collocation nodes only,
 evaluated across the whole interval (the standard Radau convention for
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lgr import barycentric_eval, basis, interval_node_times
+from .lgr import barycentric_eval, barycentric_scalar, basis, interval_node_times
 
 __all__ = ["Trajectory"]
 
@@ -89,6 +91,27 @@ class Trajectory:
         return barycentric_eval(self._state_taus[k], bas.support_bary,
                                 self.state_values[k], tau)
 
+    def interval_control(self, k: int):
+        """Interval k's control polynomial as ``u(t) -> (n_controls,)``.
+
+        Equals ``interval_values(k, t, control=True)`` bit for bit at a
+        float ``t``, but the tau map, nodes, weights and samples are
+        bound once as Python floats, so a call does no locating,
+        clipping or array work until it packs the result.
+        """
+        a = float(self.interval_times[k])
+        width = float(self.interval_times[k + 1]) - a
+        evaluate = barycentric_scalar(self._control_taus[k],
+                                      basis(self.orders[k]).node_bary,
+                                      self.control_values[k])
+
+        def control(t):
+            # the arithmetic of _local_tau, then its clip to [-1, 1]
+            tau = 2.0 * (float(t) - a) / width - 1.0
+            return np.array(evaluate(min(max(tau, -1.0), 1.0)))
+
+        return control
+
     def _located(self, t, control: bool) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
@@ -111,11 +134,15 @@ class Trajectory:
         """Control at a time or array of times."""
         return self._located(t, control=True)
 
-    def sensitivity_at(self, t: float) -> np.ndarray:
+    def sensitivity_at(self, t) -> np.ndarray:
+        """Sensitivity S = dx/dp, shape ``t.shape + (n, m)``."""
         if self.sens_shape is None:
             raise ValueError("trajectory carries no sensitivity states")
         n, m = self.sens_shape
-        return self.full_state_at(t)[self.n_states:].reshape((n, m), order="F")
+        t = np.asarray(t, dtype=float)
+        flat = self.full_state_at(t)[..., self.n_states:]
+        # the sensitivity block is stored column-major (vec S)
+        return np.swapaxes(flat.reshape(t.shape + (m, n)), -1, -2)
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Stacked full-state and control samples at the given times."""

@@ -223,3 +223,28 @@ def test_each_segment_flies_its_own_interval_control():
     sim = integrate(ocp, traj, np.array([0.25]), (0.0, 2.0))
     assert sim.terminal_state[0] == pytest.approx(1.25, abs=1e-12)
     assert all(u == (0.0 if t < 1.0 else 1.0) for t, u in seen if t != 1.0)
+
+
+def test_truth_plant_flies_interval_values_bitwise():
+    # every right-hand-side call reads the same control, bit for bit, as
+    # Trajectory.interval_values on the segment's interval: orders below
+    # and above numpy's 8-term pairwise-summation threshold, two controls
+    seen = []
+
+    def dyn(x, u, p, t):
+        seen.append((t, u.copy()))
+        return -x + u[0] - 0.5 * u[1]
+
+    ocp = _plant(dyn, tf=3.0, n_controls=2)
+    mesh = build_mesh(0.0, 3.0, 3, (3, 9, 12))
+    rng = np.random.default_rng(11)
+    traj = _trajectory(ocp, mesh, rng.standard_normal((sum(mesh.orders), 2)))
+    bounds = mesh.interval_times()
+    for k in range(mesh.n_intervals):
+        for span in ((bounds[k], bounds[k + 1]), (bounds[k + 1], bounds[k])):
+            seen.clear()
+            integrate(ocp, traj, np.array([0.5]), span)
+            assert len(seen) > 10
+            for t, u in seen:
+                want = traj.interval_values(k, t, control=True)
+                assert u.tobytes() == want.tobytes()

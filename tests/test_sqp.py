@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sqp import (
+    _least_squares_multipliers,
     _newton_inertia_ok,
     estimate_multipliers,
     NlpSolution,
@@ -322,6 +323,47 @@ def test_estimate_multipliers_recovers_hand_qp_multiplier():
     lam = estimate_multipliers(nlp, np.array([2.0, 1.0]))
     assert lam.shape == (1,)
     assert lam[0] == pytest.approx(-2.0, abs=1e-9)
+
+
+def _full_row_rank(rng, m, n):
+    # m x n with singular values in [0.1, 10]: condition number <= 100
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    return (U * rng.uniform(0.1, 10.0, m)) @ V.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       m=st.integers(1, 40))
+def test_least_squares_multipliers_match_lstsq(seed, n, m):
+    m = min(m, n)
+    rng = np.random.default_rng(seed)
+    J = _full_row_rank(rng, m, n)
+    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    lam = _least_squares_multipliers(g, J)
+    want = np.linalg.lstsq(J.T, -g, rcond=None)[0]
+    assert lam.shape == (m,)
+    assert np.max(np.abs(lam - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       m=st.integers(1, 40))
+def test_duplicated_row_falls_back_to_minimum_norm(seed, n, m):
+    m = min(m, n)
+    rng = np.random.default_rng(seed)
+    J = _full_row_rank(rng, m, n)
+    g = rng.standard_normal(n)
+    i = int(rng.integers(m))
+    J_dup = np.insert(J, int(rng.integers(m + 1)), J[i], axis=0)
+    lam = _least_squares_multipliers(g, J_dup)
+    assert np.array_equal(lam, np.linalg.lstsq(J_dup.T, -g, rcond=None)[0])
+    # the minimum-norm estimate splits the row's multiplier evenly
+    rows = [r for r in range(m + 1) if np.array_equal(J_dup[r], J[i])]
+    single = np.linalg.lstsq(J.T, -g, rcond=None)[0]
+    assert len(rows) == 2
+    assert lam[rows[0]] == pytest.approx(0.5 * single[i], rel=1e-8, abs=1e-12)
+    assert lam[rows[1]] == pytest.approx(lam[rows[0]], rel=1e-8, abs=1e-12)
 
 
 def test_hessian_seed_resolves_perturbed_example_quickly():

@@ -167,3 +167,69 @@ def test_extracted_node_times_come_from_the_shared_function():
         assert np.array_equal(flat_colloc, np.concatenate(colloc))
         assert np.array_equal(flat_support,
                               np.unique(np.concatenate(support)))
+
+
+@st.composite
+def control_meshes(draw):
+    """Random mesh of orders 1-15 with 1-3 random controls, plus fractions."""
+    orders = tuple(draw(st.lists(st.integers(1, 15), min_size=1,
+                                 max_size=3)))
+    n_controls = draw(st.integers(1, 3))
+    t0 = draw(st.floats(-100.0, 100.0))
+    widths = draw(st.lists(st.floats(0.01, 20.0), min_size=len(orders),
+                           max_size=len(orders)))
+    bounds = t0 + np.concatenate(([0.0], np.cumsum(widths)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    traj = Trajectory(
+        t0=float(bounds[0]), tf=float(bounds[-1]), interval_times=bounds,
+        orders=orders,
+        state_values=[rng.standard_normal((nk + 1, 1)) for nk in orders],
+        control_values=[rng.standard_normal((nk, n_controls))
+                        for nk in orders],
+        n_states=1)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    return traj, fractions
+
+
+@settings(max_examples=150, deadline=None)
+@given(control_meshes())
+def test_bound_interval_control_matches_interval_values_bitwise(case):
+    traj, fractions = case
+    for k in range(traj.n_intervals):
+        a, b = traj.interval_times[k], traj.interval_times[k + 1]
+        control = traj.interval_control(k)
+        # random times, stored node times, both ends, and times past
+        # either end, which clamp to it
+        times = np.concatenate([a + np.asarray(fractions) * (b - a),
+                                traj.control_times[k],
+                                [a, b, a - 0.5 * (b - a), b + 0.5 * (b - a)]])
+        for t in times:
+            got = control(t)
+            want = traj.interval_values(k, t, control=True)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for t, row in zip(traj.control_times[k], traj.control_values[k]):
+            assert np.array_equal(control(t), row)
+
+
+def test_sensitivity_at_accepts_arrays_of_times():
+    # n = 2 states and m = 3 parameters: S is stored column-major after x
+    rng = np.random.default_rng(5)
+    n, m, orders = 2, 3, (3, 4)
+    bounds = np.array([0.0, 1.0, 2.5])
+    traj = Trajectory(
+        t0=0.0, tf=2.5, interval_times=bounds, orders=orders,
+        state_values=[rng.standard_normal((nk + 1, n + n * m))
+                      for nk in orders],
+        control_values=[rng.standard_normal((nk, 1)) for nk in orders],
+        n_states=n, sens_shape=(n, m))
+    times = np.array([[0.0, 0.3, 1.0], [1.7, 2.2, 2.5]])
+    full = traj.full_state_at(times)
+    S = traj.sensitivity_at(times)
+    assert S.shape == times.shape + (n, m)
+    for i in range(n):
+        for j in range(m):
+            assert np.array_equal(S[..., i, j], full[..., n + i + n * j])
+    for t, s in zip(times.ravel(), S.reshape(-1, n, m)):
+        assert np.array_equal(traj.sensitivity_at(t), s)
+    assert traj.sensitivity_at(1.7).shape == (n, m)
