@@ -250,8 +250,9 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
     is built on ``nlp.lagrangian_hessian`` at the current point and
     multipliers instead, provided the problem has that hook and the
     KKT matrix [H J'; J 0] has inertia (n, m, 0).  Otherwise the
-    quasi-Newton matrix is used; it is updated after every step either
-    way.
+    quasi-Newton matrix is used; it takes every step's update either
+    way, applied when the next step is about to be computed, so a
+    solve that converges after k steps makes k - 1 updates.
 
     ``hessian0``/``multipliers0`` seed the quasi-Newton matrix and the
     merit penalty from an earlier, closely related solve.
@@ -283,6 +284,7 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
 
     status = "max-iterations"
     alpha = 0.0       # no step taken yet, so the first QP is never local
+    curvature_pair = None
     trace: list = []
 
     # Multipliers for the loop-top optimality check.  Any vector gives an
@@ -306,6 +308,11 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             break
         if it == opts.max_iterations:
             break
+        # the previous step's quasi-Newton update, made only once another
+        # step needs it: a warm re-solve that converges after one step
+        # never pays for an n x n rank-2 update
+        if curvature_pair is not None:
+            B = _damped_bfgs_update(B, *curvature_pair)
 
         # local phase: after a full step onto a nearly feasible point,
         # take Newton steps on the problem's Lagrangian Hessian whenever
@@ -388,7 +395,7 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
             y = (g_new + J_new.T @ lam_qp) - (g + J.T @ lam_qp)
         else:
             y = g_new - g
-        B = _damped_bfgs_update(B, s, y)
+        curvature_pair = (s, y)
 
         z, f, g, c, J = z_new, f_new, g_new, c_new, J_new
         lam_check = lam_qp

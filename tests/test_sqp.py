@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from guidedog import sqp
 from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sqp import (
     _least_squares_multipliers,
@@ -286,6 +287,32 @@ def test_warm_start_dominance():
     assert warm.status == "converged"
     assert warm.iterations <= 2
     assert np.max(np.abs(warm.z - cold.z)) < 1e-7
+
+
+def test_quasi_newton_update_is_made_only_for_a_next_step(monkeypatch):
+    # the update after the converging step would never be used
+    calls = []
+    update = sqp._damped_bfgs_update
+
+    def counted(B, s, y):
+        calls.append(s)
+        return update(B, s, y)
+
+    monkeypatch.setattr(sqp, "_damped_bfgs_update", counted)
+    ocp, _ = example_problem()
+    mesh = build_mesh(0.0, 50.0, 4, 4)
+    nlp = transcribe(ocp, mesh)
+    cold = solve(nlp, initial_guess(ocp, mesh))
+    assert cold.converged and cold.iterations >= 2
+    assert len(calls) == cold.iterations - 1
+    # a seeded re-solve from a nearby point converges in a step or two
+    del calls[:]
+    z = cold.z + 1e-5 * np.random.default_rng(3).standard_normal(cold.z.size)
+    lam = estimate_multipliers(nlp, z)
+    warm = solve(nlp, z, hessian0=nlp.lagrangian_hessian(z, lam),
+                 multipliers0=lam)
+    assert warm.converged and warm.iterations >= 1
+    assert len(calls) == warm.iterations - 1
 
 
 def test_initial_guess_shape_and_boundary_values():
