@@ -1,4 +1,6 @@
-"""Tests for the dense SQP solver."""
+"""Tests for the SQP solver and its KKT solves."""
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +10,7 @@ from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sqp import (
     _least_squares_multipliers,
     _newton_inertia_ok,
+    _solve_kkt,
     estimate_multipliers,
     NlpSolution,
     SolverOptions,
@@ -468,3 +471,128 @@ def test_newton_inertia_matches_eigenvalue_count(seed):
         assert _newton_inertia_ok(H, np.vstack([Q[:, 0], Je[1:]]))
     # a repeated constraint row makes the KKT matrix singular
     assert not _newton_inertia_ok(H, np.vstack([Je, Je[:1]]))
+
+
+def _hidden_banded_kkt(rng, n_blocks, block, m, window):
+    # SPD diagonal blocks of H (one per collocation point, say) and rows
+    # of A that each couple a window of neighbouring variables, then one
+    # random permutation of the variables and one of the rows
+    n = n_blocks * block
+    H = np.zeros((n, n))
+    for k in range(n_blocks):
+        R = rng.standard_normal((block, block))
+        H[k * block:(k + 1) * block, k * block:(k + 1) * block] = \
+            R @ R.T + block * np.eye(block)
+    A = np.zeros((m, n))
+    for i in range(m):
+        start = (i * (n - window)) // max(m - 1, 1)
+        A[i, start:start + window] = rng.standard_normal(window)
+    var, row = rng.permutation(n), rng.permutation(m)
+    return H[np.ix_(var, var)], A[np.ix_(row, var)]
+
+
+def _kkt_residual(H, A, g, b, d, lam):
+    return np.linalg.norm(np.concatenate([H @ d + A.T @ lam + g, A @ d - b]))
+
+
+@contextlib.contextmanager
+def _banded_calls():
+    # the (lower, upper) bandwidths of every banded solve made inside
+    calls = []
+    banded = sqp.solve_banded
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return banded(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sqp, "solve_banded", spy)
+        yield calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.integers(1, 4),
+       extra=st.integers(0, 40), window=st.integers(2, 6))
+def test_hidden_block_banded_kkt_is_solved_banded(seed, block, extra,
+                                                  window):
+    rng = np.random.default_rng(seed)
+    n_blocks = -(-sqp.BANDED_MIN_ORDER // block) + extra
+    n = n_blocks * block
+    m = int(rng.integers(1, n // 2 + 1))
+    H, A = _hidden_banded_kkt(rng, n_blocks, block, m, window)
+    assume(np.linalg.svd(A, compute_uv=False)[-1] > 1e-3)
+    g, b = rng.standard_normal(n), rng.standard_normal(m)
+    with _banded_calls() as calls:
+        d, lam = _solve_kkt(H, A, g, b)
+    assert len(calls) == 1
+    width = calls[0][0]
+    assert calls[0] == (width, width)
+    assert width <= sqp.BANDED_MAX_WIDTH_FRACTION * (n + m)
+    rhs = np.linalg.norm(np.concatenate([g, b]))
+    assert _kkt_residual(H, A, g, b, d, lam) <= 1e-8 * (1.0 + rhs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+       m=st.integers(0, 40))
+def test_dense_hessian_takes_the_dense_path(seed, n, m):
+    # large enough for the banded path, but a quasi-Newton matrix is full
+    n += sqp.BANDED_MIN_ORDER
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((n, n))
+    H = R @ R.T + n * np.eye(n)
+    A = rng.standard_normal((m, n))
+    g, b = rng.standard_normal(n), rng.standard_normal(m)
+    with _banded_calls() as calls:
+        d, lam = _solve_kkt(H, A, g, b)
+    assert calls == []
+    rhs = np.linalg.norm(np.concatenate([g, b]))
+    assert _kkt_residual(H, A, g, b, d, lam) <= 1e-8 * (1.0 + rhs)
+
+
+def test_small_kkt_takes_the_dense_path():
+    # below BANDED_MIN_ORDER the ordering costs more than a dense LU
+    rng = np.random.default_rng(0)
+    n_blocks = sqp.BANDED_MIN_ORDER // 4
+    H, A = _hidden_banded_kkt(rng, n_blocks, 2, n_blocks - 1, 4)
+    g, b = rng.standard_normal(2 * n_blocks), rng.standard_normal(n_blocks - 1)
+    with _banded_calls() as calls:
+        d, lam = _solve_kkt(H, A, g, b)
+    assert calls == []
+    assert _kkt_residual(H, A, g, b, d, lam) <= 1e-10
+
+
+def _dense_kkt_solve(H, A, g, b):
+    # the dense path as it stood before the banded one: LU, and the
+    # minimum-norm least-squares solution when LU fails its residual test
+    m = A.shape[0]
+    K = np.block([[H, A.T], [A, np.zeros((m, m))]])
+    rhs = np.concatenate([-g, b])
+    try:
+        sol = np.linalg.solve(K, rhs)
+        if np.all(np.isfinite(sol)) and np.linalg.norm(K @ sol - rhs) \
+                <= 1e-8 * (1.0 + np.linalg.norm(rhs)):
+            return sol
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(K, rhs, rcond=None)[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_singular_banded_kkt_falls_through_to_the_dense_path(seed):
+    # a repeated constraint row (with a consistent right-hand side) makes
+    # the KKT matrix exactly singular: the band LU meets a zero pivot or
+    # fails the residual check, and the dense path answers as it always
+    # did (an LU solution that passes the check, else lstsq's)
+    rng = np.random.default_rng(seed)
+    n_blocks, m = sqp.BANDED_MIN_ORDER // 2, sqp.BANDED_MIN_ORDER // 3
+    H, A = _hidden_banded_kkt(rng, n_blocks, 2, m, 4)
+    i = int(rng.integers(m))
+    A = np.vstack([A, A[i]])
+    g, b = rng.standard_normal(2 * n_blocks), rng.standard_normal(m)
+    b = np.append(b, b[i])
+    with _banded_calls() as calls:
+        d, lam = _solve_kkt(H, A, g, b)
+    assert len(calls) == 1
+    assert np.array_equal(np.concatenate([d, lam]),
+                          _dense_kkt_solve(H, A, g, b))
