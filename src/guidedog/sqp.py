@@ -215,14 +215,13 @@ def _solve_kkt(B, A, g, b):
     path: an LU factorization (``getrf``) checked the same way, with a
     least-squares fallback for a (numerically) singular matrix.
 
-    The KKT matrix is symmetric indefinite, yet the dense path does not
-    use its Bunch-Kaufman solve.  ``scipy.linalg.solve(M, rhs,
-    assume_a="sym")`` has been reported to crash the interpreter
-    (segmentation fault) on a 545 x 545 KKT matrix with scipy 1.17.1
-    and single-threaded OpenBLAS; that crash has not been reproduced,
-    nor ruled out.  LAPACK ``sytrf``/``sytrs`` called directly would
-    save less than the banded path does: 4.6-5.0 against 6.1-7.0 ms for
-    ``getrf`` at order 545, 1.0-1.4 against 1.5-1.9 ms at order 327.
+    The KKT matrix is symmetric indefinite, but the dense path keeps LU
+    rather than a Bunch-Kaufman solve.  ``scipy.linalg.solve(M, rhs,
+    assume_a="sym")`` is reported to crash the interpreter (segmentation
+    fault) on a 545 x 545 KKT matrix with scipy 1.17.1 and
+    single-threaded OpenBLAS, a crash not reproduced but not ruled out;
+    and LAPACK ``sytrf``/``sytrs`` saves only about a quarter of
+    ``getrf``'s time (4.6-5.0 against 6.1-7.0 ms at order 545).
     """
     n = B.shape[0]
     ma = A.shape[0]

@@ -534,20 +534,22 @@ def test_hidden_block_banded_kkt_is_solved_banded(seed, block, extra,
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
-       m=st.integers(0, 40))
-def test_dense_hessian_takes_the_dense_path(seed, n, m):
-    # large enough for the banded path, but a quasi-Newton matrix is full
+       m=st.integers(1, 40))
+def test_dense_hessian_or_wide_pattern_takes_the_dense_path(seed, n, m):
+    # large enough for the banded path, but a quasi-Newton matrix is
+    # full, and dense constraint rows leave no narrow ordering even for
+    # a diagonal Hessian
     n += sqp.BANDED_MIN_ORDER
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((n, n))
-    H = R @ R.T + n * np.eye(n)
     A = rng.standard_normal((m, n))
     g, b = rng.standard_normal(n), rng.standard_normal(m)
-    with _banded_calls() as calls:
-        d, lam = _solve_kkt(H, A, g, b)
-    assert calls == []
     rhs = np.linalg.norm(np.concatenate([g, b]))
-    assert _kkt_residual(H, A, g, b, d, lam) <= 1e-8 * (1.0 + rhs)
+    for H in (R @ R.T + n * np.eye(n), np.diag(rng.uniform(0.5, 2.0, n))):
+        with _banded_calls() as calls:
+            d, lam = _solve_kkt(H, A, g, b)
+        assert calls == []
+        assert _kkt_residual(H, A, g, b, d, lam) <= 1e-8 * (1.0 + rhs)
 
 
 def test_small_kkt_takes_the_dense_path():
