@@ -194,6 +194,16 @@ def _guidance(cfg: CampaignConfig, ocp, method: str) -> GuidanceConfig:
     )
 
 
+def _check_schedule(cfg: CampaignConfig, ocp, methods) -> None:
+    """Reject, before any solve, cycles past the horizon for OG or DOG."""
+    horizon = ocp.time_domain[1] - ocp.time_domain[0]
+    flown = cfg.cycle_count * cfg.cycle_duration
+    if {"OG", "DOG"} & set(methods) and \
+            flown > horizon + 1e-9 * max(1.0, horizon):
+        raise ValidationError(f"{cfg.cycle_count} cycles x {cfg.cycle_duration}"
+                              f" s exceed the {horizon} s horizon")
+
+
 def _prepare_output(cfg: CampaignConfig) -> str:
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
@@ -262,6 +272,7 @@ def _cmd_mission(args) -> int:
     cfg = _load(args)
     ocp, make_spec = example_problem(cfg.alpha)
     method = cfg.method
+    _check_schedule(cfg, ocp, (method,))
     desensitized = method in ("DOC", "DOG")
     spec = make_spec(cfg.beta, cfg.q) if desensitized else None
     alpha_tilde = args.alpha_tilde
@@ -291,6 +302,7 @@ def _cmd_mission(args) -> int:
 def _cmd_campaign(args) -> int:
     cfg = _load(args)
     ocp, make_spec = example_problem(cfg.alpha)
+    _check_schedule(cfg, ocp, cfg.methods)
     needs_spec = any(m in ("DOC", "DOG") for m in cfg.methods)
     spec = make_spec(cfg.beta, cfg.q) if needs_spec else None
     # CampaignConfig has already validated these fields

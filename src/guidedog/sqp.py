@@ -7,9 +7,10 @@ The solver handles problems of the form
 the only shape an :class:`NlpProblem` admits (``lower == upper`` on
 every row).  Each search direction comes from one KKT solve of the
 quadratic subproblem on all rows -- banded when the Hessian is
-block-sparse, dense otherwise -- globalized by a backtracking line
-search on the l1 exact-penalty merit function with a second-order
-correction of the full step.  The subproblem Hessian is a damped
+block-sparse, one LDL' factorization otherwise, which also gives the
+Newton inertia -- globalized by a backtracking line search on the l1
+exact-penalty merit function with a second-order correction of the
+full step.  The subproblem Hessian is a damped
 quasi-Newton matrix; once the iterate is local -- the previous step
 was a full step and the constraint violation is at most 1e-6 -- the
 problem's Lagrangian Hessian hook, when it provides one, takes its
@@ -59,11 +60,11 @@ MAX_BACKTRACKS = 30
 # BANDED_MAX_WIDTH_FRACTION of its order: the shipped problem's KKT
 # matrices order to 0.054-0.068, and on KKT matrices of order 250-550
 # ordered to 0.1-0.15 one banded solve, ordering included, took 0.35-0.7
-# of a dense one (2-core VM, one BLAS thread), break-even near 0.2.
+# of a dense LU (2-core VM, one BLAS thread), break-even near 0.2.
 # Below order BANDED_MIN_ORDER the ordering costs more than it saves:
 # in situ at order 147 (OG on study_mesh()) a banded solve took 0.51 ms
-# against 0.34 ms dense, at order 245 (DOG) 0.81 against 1.32 ms, and on
-# synthetic KKT matrices the two broke even near order 175-200.
+# against 0.34 ms dense LU, at order 245 (DOG) 0.81 against 1.32 ms, and
+# on synthetic KKT matrices the two broke even near order 175-200.
 BANDED_MAX_FILL = 16
 BANDED_MAX_WIDTH_FRACTION = 0.1
 BANDED_MIN_ORDER = 200
@@ -196,96 +197,37 @@ def _banded_kkt_solve(H, A, rhs):
                          check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    sol = np.empty_like(x)
-    sol[perm] = x
-    return sol
+    return x[rank]
 
 
-def _solve_kkt(B, A, g, b):
-    """Solve the equality-constrained QP min 0.5 d'Bd + g'd s.t. A d = b.
+def _kkt_ldl(H, A):
+    """Bunch-Kaufman LDL' factorization of K = [H A'; A 0].
 
-    Returns the step and the multipliers of the rows of A.
-
-    A KKT matrix of order at least ``BANDED_MIN_ORDER`` whose B is
-    block-sparse (at most ``BANDED_MAX_FILL`` nonzeros a row) is solved
-    in band form by :func:`_banded_kkt_solve` when its ordered bandwidth
-    is narrow; a quasi-Newton B after its first update is full and is
-    counted, never scanned for its pattern.  Every other matrix, and a
-    banded solution that fails the residual check, goes to the dense
-    path: an LU factorization (``getrf``) checked the same way, with a
-    least-squares fallback for a (numerically) singular matrix.
-
-    The KKT matrix is symmetric indefinite, but the dense path keeps LU
-    rather than a Bunch-Kaufman solve.  ``scipy.linalg.solve(M, rhs,
-    assume_a="sym")`` is reported to crash the interpreter (segmentation
-    fault) on a 545 x 545 KKT matrix with scipy 1.17.1 and
-    single-threaded OpenBLAS, a crash not reproduced but not ruled out;
-    and LAPACK ``sytrf``/``sytrs`` saves only about a quarter of
-    ``getrf``'s time (4.6-5.0 against 6.1-7.0 ms at order 545).
+    Returns LAPACK ``sytrf``'s ``(ldu, ipiv, info)`` for K's lower
+    triangle (``info > 0``: an exactly zero pivot) and K's inertia
+    (positive, negative, zero), counted from D's 1x1 and 2x2 pivot
+    blocks with pivots within rounding of zero as zero.  It is (n, m, 0)
+    exactly when the QP on H has a unique minimizer: A has full row rank
+    and H is positive definite on its null space.  ``scipy.linalg.ldl``
+    runs the same routine but expands L and D into dense copies.
     """
-    n = B.shape[0]
-    ma = A.shape[0]
-    rhs = np.concatenate([-g, b])
-    tol = 1e-8 * (1.0 + np.linalg.norm(rhs))
-    # counted on a boolean array, which numpy scans several times faster
-    if (n + ma >= BANDED_MIN_ORDER
-            and np.count_nonzero(B != 0.0) <= BANDED_MAX_FILL * n):
-        sol = _banded_kkt_solve(B, A, rhs)
-        if sol is not None:
-            d, lam = sol[:n], sol[n:]
-            resid = np.concatenate([B @ d + A.T @ lam, A @ d]) - rhs
-            # a non-finite solution fails this comparison too
-            if np.linalg.norm(resid) <= tol:
-                return d, lam
-    M = np.zeros((n + ma, n + ma))
-    M[:n, :n] = B
-    if ma:
-        M[:n, n:] = A.T
-        M[n:, :n] = A
-    # fall back to least squares when the system is (numerically)
-    # singular, e.g. consistent-but-redundant constraint rows
-    try:
-        sol = np.linalg.solve(M, rhs)
-        if not np.all(np.isfinite(sol)) or \
-                np.linalg.norm(M @ sol - rhs) > tol:
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol[:n], sol[n:]
-
-
-def _newton_inertia_ok(H, Je):
-    """True when the KKT matrix [H Je'; Je 0] has inertia (n, me, 0).
-
-    That holds exactly when Je has full row rank and H is positive
-    definite on its null space, so the QP on H
-    has a unique minimizer.  The inertia is counted from the 1x1 and
-    2x2 pivot blocks of a Bunch-Kaufman LDL' factorization (Sylvester's
-    law of inertia); pivots within rounding of zero count as zero.
-    LAPACK's ``sytrf`` factors in place: ``scipy.linalg.ldl`` runs the
-    same routine but also expands L and D into dense copies, several
-    times the memory of the matrix itself.
-    """
-    n, me = H.shape[0], Je.shape[0]
-    size = n + me
-    scale = max(1.0, float(np.max(np.abs(H))),
-                float(np.max(np.abs(Je), initial=0.0)))
+    n = H.shape[0]
+    size = n + A.shape[0]
+    scale = max(1.0, float(np.max(np.abs(H), initial=0.0)),
+                float(np.max(np.abs(A), initial=0.0)))
     K = np.zeros((size, size), order="F")
     K[:n, :n] = H
-    K[n:, :n] = Je
+    K[n:, :n] = A
     sytrf, sytrf_lwork = get_lapack_funcs(("sytrf", "sytrf_lwork"), (K,))
     lwork = int(sytrf_lwork(size, lower=1)[0])
-    ldu, ipiv, _ = sytrf(K, lower=1, lwork=lwork, overwrite_a=1)
+    ldu, ipiv, info = sytrf(K, lower=1, lwork=lwork, overwrite_a=1)
     # a negative pivot index marks the first row of a 2x2 block
-    first = []
-    k = 0
+    first, k = [], 0
     pivots = ipiv.tolist()
     while k < size:
         if pivots[k] < 0:
             first.append(k)
-            k += 2
-        else:
-            k += 1
+        k += 2 if pivots[k] < 0 else 1
     first = np.array(first, dtype=int)
     diag = np.diag(ldu)
     single = np.ones(size, dtype=bool)
@@ -298,7 +240,50 @@ def _newton_inertia_ok(H, Je):
     zero_tol = np.finfo(float).eps * size * scale
     pos = int(np.count_nonzero(eigs > zero_tol))
     neg = int(np.count_nonzero(eigs < -zero_tol))
-    return pos == n and neg == me
+    return ldu, ipiv, info, (pos, neg, size - pos - neg)
+
+
+def _solve_kkt(B, A, g, b, ldl=None):
+    """Solve the equality-constrained QP min 0.5 d'Bd + g'd s.t. A d = b.
+
+    Returns the step and the multipliers of the rows of A.  ``ldl`` is
+    :func:`_kkt_ldl`'s factorization of this KKT matrix when the caller
+    has one (a Newton step, factored for its inertia test).  Otherwise a
+    KKT matrix of order at least ``BANDED_MIN_ORDER`` whose B has at
+    most ``BANDED_MAX_FILL`` nonzeros a row (a quasi-Newton B after its
+    first update is full, and is counted, never scanned for its
+    pattern) is first tried in band form by :func:`_banded_kkt_solve`.
+    The dense path is one LDL' factorization solved by ``sytrs``:
+    4.6-5.0 ms against 6.1-7.0 ms for an LU (``getrf``) at order 545.
+    An answer counts only if its residual is at most 1e-8 (1 + |rhs|);
+    a zero pivot or a failed test on the LDL' answer, e.g. from
+    redundant rows, ends in the minimum-norm least-squares solution.
+    """
+    n = B.shape[0]
+    rhs = np.concatenate([-g, b])
+    tol = 1e-8 * (1.0 + np.linalg.norm(rhs))
+
+    def accepted(sol):
+        d, lam = sol[:n], sol[n:]
+        resid = np.concatenate([B @ d + A.T @ lam, A @ d]) - rhs
+        # a non-finite solution fails this comparison too
+        return np.linalg.norm(resid) <= tol
+
+    # counted on a boolean array, which numpy scans several times faster
+    if (ldl is None and rhs.size >= BANDED_MIN_ORDER
+            and np.count_nonzero(B != 0.0) <= BANDED_MAX_FILL * n):
+        sol = _banded_kkt_solve(B, A, rhs)
+        if sol is not None and accepted(sol):
+            return sol[:n], sol[n:]
+    ldu, ipiv, info, _ = ldl or _kkt_ldl(B, A)
+    if info == 0:
+        sytrs, = get_lapack_funcs(("sytrs",), (ldu,))
+        sol, _ = sytrs(ldu, ipiv, rhs, lower=1)
+        if accepted(sol):
+            return sol[:n], sol[n:]
+    M = np.block([[B, A.T], [A, np.zeros((A.shape[0],) * 2)]])
+    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    return sol[:n], sol[n:]
 
 
 def _damped_bfgs_update(B, s, y):
@@ -404,16 +389,18 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
 
         # local phase: after a full step onto a nearly feasible point,
         # take Newton steps on the problem's Lagrangian Hessian whenever
-        # its reduced Hessian is positive definite; B stays the fallback
-        H = B
+        # its reduced Hessian is positive definite, solved on the LDL'
+        # factors that tested it; B stays the fallback
+        H, ldl = B, None
         if (alpha == 1.0 and viol_inf <= 1e-6
                 and nlp.lagrangian_hessian is not None):
             H_lag = np.asarray(nlp.lagrangian_hessian(z, lam_check),
                                dtype=float)
-            if _newton_inertia_ok(H_lag, J):
-                H = H_lag
+            factors = _kkt_ldl(H_lag, J)
+            if factors[3] == (n, m, 0):
+                H, ldl = H_lag, factors
 
-        d, lam_qp = _solve_kkt(H, J, g, nlp.lower - c)
+        d, lam_qp = _solve_kkt(H, J, g, nlp.lower - c, ldl)
         step_scale = float(np.max(np.abs(d))) if n else 0.0
         if not np.all(np.isfinite(d)) or step_scale > 1e12:
             status = "line-search-failure"

@@ -243,6 +243,24 @@ def test_unknown_preset_flag_exits_one(tmp_path, capsys):
     assert not (tmp_path / "records.csv").exists()
 
 
+def test_guidance_cycles_beyond_the_horizon_rejected_before_any_solve(
+        tmp_path, capsys):
+    # 20 cycles x 4 s run past the example's 50 s horizon
+    config = _write(tmp_path,
+                    "[guidance]\ncycles = 20\n\n[mc]\nmethods = OG\n")
+    for argv in (["mission"], ["campaign", "--runs", "1"]):
+        rc = main(argv + ["--config", config, "--output", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: 20 cycles x 4.0 s exceed the 50.0 s horizon" in err
+    assert sorted(os.listdir(tmp_path)) == ["config.ini"]
+    # an open-loop method flies no cycles, so the schedule is no error
+    rc = main(["mission", "--method", "OC", "--config", config,
+               "--output", str(tmp_path)])
+    assert rc == 0
+    assert "flew 0 guidance cycles" in capsys.readouterr().out
+
+
 def test_readme_config_example_parses(tmp_path):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as handle:

@@ -4,12 +4,13 @@ import contextlib
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import get_lapack_funcs
 
 from guidedog import sqp
 from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sqp import (
+    _kkt_ldl,
     _least_squares_multipliers,
-    _newton_inertia_ok,
     _solve_kkt,
     estimate_multipliers,
     NlpSolution,
@@ -464,13 +465,13 @@ def test_newton_inertia_matches_eigenvalue_count(seed):
     K = np.block([[H, Je.T], [Je, np.zeros((me, me))]])
     eigs = np.linalg.eigvalsh(K)
     expected = (np.sum(eigs > 1e-9) == n) and (np.sum(eigs < -1e-9) == me)
-    assert _newton_inertia_ok(H, Je) == expected
+    assert (_kkt_ldl(H, Je)[3] == (n, me, 0)) == expected
     if seed % 3 == 1:
         # constraining the one negative direction leaves a reduced
         # Hessian that is positive definite
-        assert _newton_inertia_ok(H, np.vstack([Q[:, 0], Je[1:]]))
+        assert _kkt_ldl(H, np.vstack([Q[:, 0], Je[1:]]))[3] == (n, me, 0)
     # a repeated constraint row makes the KKT matrix singular
-    assert not _newton_inertia_ok(H, np.vstack([Je, Je[:1]]))
+    assert _kkt_ldl(H, np.vstack([Je, Je[:1]]))[3] != (n, me + 1, 0)
 
 
 def _hidden_banded_kkt(rng, n_blocks, block, m, window):
@@ -565,18 +566,21 @@ def test_small_kkt_takes_the_dense_path():
 
 
 def _dense_kkt_solve(H, A, g, b):
-    # the dense path as it stood before the banded one: LU, and the
-    # minimum-norm least-squares solution when LU fails its residual test
+    # the dense path: a Bunch-Kaufman LDL' solve, and the minimum-norm
+    # least-squares solution when it meets a zero pivot or fails its
+    # residual test
     m = A.shape[0]
     K = np.block([[H, A.T], [A, np.zeros((m, m))]])
     rhs = np.concatenate([-g, b])
-    try:
-        sol = np.linalg.solve(K, rhs)
-        if np.all(np.isfinite(sol)) and np.linalg.norm(K @ sol - rhs) \
+    sytrf, sytrf_lwork, sytrs = get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "sytrs"), (K,))
+    lwork = int(sytrf_lwork(K.shape[0], lower=1)[0])
+    ldu, ipiv, info = sytrf(np.asfortranarray(K), lower=1, lwork=lwork)
+    if info == 0:
+        sol = sytrs(ldu, ipiv, rhs, lower=1)[0]
+        if np.linalg.norm(K @ sol - rhs) \
                 <= 1e-8 * (1.0 + np.linalg.norm(rhs)):
             return sol
-    except np.linalg.LinAlgError:
-        pass
     return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
@@ -584,8 +588,8 @@ def _dense_kkt_solve(H, A, g, b):
 def test_singular_banded_kkt_falls_through_to_the_dense_path(seed):
     # a repeated constraint row (with a consistent right-hand side) makes
     # the KKT matrix exactly singular: the band LU meets a zero pivot or
-    # fails the residual check, and the dense path answers as it always
-    # did (an LU solution that passes the check, else lstsq's)
+    # fails the residual check, and the dense path answers (an LDL'
+    # solution that passes the check, else lstsq's)
     rng = np.random.default_rng(seed)
     n_blocks, m = sqp.BANDED_MIN_ORDER // 2, sqp.BANDED_MIN_ORDER // 3
     H, A = _hidden_banded_kkt(rng, n_blocks, 2, m, 4)
@@ -598,3 +602,75 @@ def test_singular_banded_kkt_falls_through_to_the_dense_path(seed):
     assert len(calls) == 1
     assert np.array_equal(np.concatenate([d, lam]),
                           _dense_kkt_solve(H, A, g, b))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_small_singular_kkt_returns_the_least_squares_solution(seed):
+    # a repeated constraint row with a different right-hand side: no
+    # solution passes the residual test, whether the LDL' factorization
+    # meets an exactly zero pivot or not
+    rng = np.random.default_rng(seed)
+    n, m = 12, 5
+    H = np.diag(rng.uniform(0.5, 2.0, n))
+    A = rng.standard_normal((m, n))
+    A = np.vstack([A, A[seed % m]])
+    g, b = rng.standard_normal(n), rng.standard_normal(m + 1)
+    assert n + m + 1 < sqp.BANDED_MIN_ORDER
+    d, lam = _solve_kkt(H, A, g, b)
+    K = np.block([[H, A.T], [A, np.zeros((m + 1, m + 1))]])
+    expected = np.linalg.lstsq(K, np.concatenate([-g, b]), rcond=None)[0]
+    assert np.array_equal(np.concatenate([d, lam]), expected)
+
+
+def test_a_newton_step_factors_its_kkt_matrix_once(monkeypatch):
+    # min sum(z^4)/4 + |z - t|^2/2 s.t. A z = b: the first (quasi-Newton)
+    # step lands on the linear constraints, and every later step is a
+    # Newton step whose inertia test and solve share one LDL' factorization
+    rng = np.random.default_rng(0)
+    n, m = 12, 4
+    t, A, b = rng.standard_normal(n), rng.standard_normal((m, n)), \
+        rng.standard_normal(m)
+    events = []
+
+    def hessian(z, lam):
+        events.append("hessian")
+        return np.diag(3.0 * z ** 2 + 1.0)
+
+    nlp = NlpProblem(
+        n_vars=n,
+        objective=lambda z: float(0.25 * np.sum(z ** 4)
+                                  + 0.5 * np.sum((z - t) ** 2)),
+        constraints=lambda z: A @ z,
+        lower=b, upper=b,
+        gradient=lambda z: z ** 3 + z - t,
+        jacobian=lambda z: A,
+        lagrangian_hessian=hessian,
+    )
+    lapack, banded, dense = sqp.get_lapack_funcs, sqp.solve_banded, \
+        np.linalg.solve
+
+    def logged(name, func):
+        def call(*args, **kwargs):
+            events.append(name)
+            return func(*args, **kwargs)
+        return call
+
+    def lapack_spy(names, arrays):
+        return tuple(logged(name, func) for name, func
+                     in zip(names, lapack(names, arrays)))
+
+    def dense_spy(a, rhs):
+        if a.shape[0] == n + m:
+            events.append("getrf")
+        return dense(a, rhs)
+
+    monkeypatch.setattr(sqp, "get_lapack_funcs", lapack_spy)
+    monkeypatch.setattr(sqp, "solve_banded", logged("banded", banded))
+    monkeypatch.setattr(np.linalg, "solve", dense_spy)
+    sol = solve(nlp, np.zeros(n))
+    assert sol.converged, sol.status
+    first, *newton = " ".join(e for e in events if e != "sytrf_lwork") \
+        .split("hessian")
+    assert first.split() == ["sytrf", "sytrs"]
+    assert len(newton) == sol.iterations - 1 >= 2
+    assert all(step.split() == ["sytrf", "sytrs"] for step in newton)
