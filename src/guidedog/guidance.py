@@ -9,6 +9,11 @@ handoff time.  Desensitized methods (DOC/DOG) carry sensitivity states
 and the terminal penalty; plain methods (OC/OG) solve the unaugmented
 problem.
 
+The reference solve is the cold case of the re-solve pipeline: one
+chain (plain solve, sensitivity staged along it, seeded augmented
+solve) runs from the linear guess at t0 and from the previous solution
+at every later handoff.
+
 Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
 previous solution evaluated at that mesh's node times
@@ -43,6 +48,7 @@ __all__ = [
     "METHODS",
     "GuidanceConfig",
     "MissionResult",
+    "check_schedule",
     "cycle_bounds",
     "restart_conditions",
     "solve_reference",
@@ -95,9 +101,10 @@ class MissionResult:
 
     ``trajectories`` holds the reference solve first, then one entry
     per guidance re-solve; ``statuses``/``iterations`` line up with it.
-    Every entry sums all SQP attempts behind its solve: both stages of a
-    desensitized reference, and for a re-solve the seeded solve, the
-    default retry and the staged recovery, whichever ran.
+    Every entry sums all SQP attempts behind its solve: the plain stage
+    and the augmented polish of a desensitized reference, and for a
+    re-solve the seeded attempt, the default retry and the staged
+    chain, whichever ran.
     ``epsilon`` is the signed terminal deviation of the first state
     component against the reference solve's terminal state (NaN when
     the mission failed).  ``failure_cycle`` is None on success, -1 when
@@ -113,26 +120,32 @@ class MissionResult:
     controls: np.ndarray
     terminal_state: Optional[np.ndarray]
     epsilon: float
-    reference_objective: Optional[float]
     failed: bool = False
     failure_cycle: Optional[int] = None
     message: str = ""
 
 
-def cycle_bounds(s: int, t0: float, cycle_duration: float,
-                 tf: Optional[float] = None) -> tuple[float, float]:
+def check_schedule(cfg: GuidanceConfig, time_domain) -> None:
+    """Reject guidance cycles that run past the horizon (ValueError).
+
+    Only OG and DOG fly cycles, so open-loop methods pass any schedule.
+    """
+    t0, tf = time_domain
+    horizon = tf - t0
+    flown = cfg.cycle_count * cfg.cycle_duration
+    if cfg.guided and flown > horizon + 1e-9 * max(1.0, horizon):
+        raise ValueError(f"{cfg.cycle_count} cycles x {cfg.cycle_duration} s "
+                         f"exceed the {horizon} s horizon")
+
+
+def cycle_bounds(s: int, t0: float, cycle_duration: float
+                 ) -> tuple[float, float]:
     """Time span covered by guidance cycle ``s`` (cycles index from 0)."""
     if s < 0:
         raise ValueError(f"cycle index must be nonnegative, got {s}")
     if cycle_duration <= 0.0:
         raise ValueError("cycle_duration must be positive")
-    t_start = t0 + s * cycle_duration
-    t_end = t0 + (s + 1) * cycle_duration
-    if tf is not None and t_end > tf + 1e-9 * max(1.0, abs(tf)):
-        raise ValueError(
-            f"cycle {s} ends at {t_end}, beyond the horizon end {tf}"
-        )
-    return t_start, t_end
+    return t0 + s * cycle_duration, t0 + (s + 1) * cycle_duration
 
 
 def restart_conditions(prev_solution: Trajectory, sim, t_handoff: float):
@@ -181,12 +194,10 @@ def _seed_and_solve(nlp, z: np.ndarray, solver_opts: SolverOptions,
     kept and the iterations of every attempt made.
     """
     multipliers = estimate_multipliers(nlp, z)
-    hessian = None
-    if nlp.lagrangian_hessian is not None:
-        hessian = nlp.lagrangian_hessian(z, multipliers)
+    hessian = nlp.lagrangian_hessian(z, multipliers)
     sol = solve(nlp, z, solver_opts, hessian0=hessian, multipliers0=multipliers)
     spent = sol.iterations
-    if sol.status != "converged" and hessian is not None and retry_default:
+    if sol.status != "converged" and retry_default:
         fallback = solve(nlp, z, solver_opts)
         spent += fallback.iterations
         if fallback.status == "converged":
@@ -276,40 +287,75 @@ def _staged_sensitivity_guess(nlp_aug, traj: Trajectory) -> np.ndarray:
     return z
 
 
+def _solve_on(problem: OcpDefinition, spec, s0, mesh: Mesh,
+              solver: SolverOptions, warm: Optional[Trajectory] = None):
+    """The solve pipeline shared by the reference and every re-solve.
+
+    ``spec`` None solves ``problem`` itself: cold from the linear guess
+    without ``warm``, else seeded from ``warm`` on ``mesh``.  With a
+    spec the augmented problem (S(t0) = ``s0``, zero when None) is
+    solved.  A warm start first gets a short seeded attempt without the
+    default retry: a consistent one polishes in a handful of iterations,
+    and one that crawls is better served by the staged chain.  The
+    staged chain solves the plain problem, stages S along its solution
+    and makes the seeded augmented solve.  Returns ``(nlp, solution,
+    iterations)``, the last summing every SQP attempt made; a failed
+    plain stage is returned as the result.  Staging raises RuntimeError.
+    """
+    if spec is None:
+        nlp = transcribe(problem, mesh)
+        if warm is None:
+            sol = solve(nlp, initial_guess(problem, mesh), solver)
+            return nlp, sol, sol.iterations
+        z = _warm_vector(warm, nlp, problem.initial_state)
+        return (nlp, *_seed_and_solve(nlp, z, solver))
+    aug = augment(problem, spec, s0=s0)
+    nlp, spent = None, 0
+    if warm is not None:
+        nlp = transcribe(aug, mesh)
+        quick = replace(solver, max_iterations=min(25, solver.max_iterations))
+        z = _warm_vector(warm, nlp, aug.ocp.initial_state)
+        sol, spent = _seed_and_solve(nlp, z, quick, retry_default=False)
+        if sol.status == "converged":
+            return nlp, sol, spent
+    nlp_plain, sol, plain_spent = _solve_on(problem, None, None, mesh,
+                                            solver, warm)
+    spent += plain_spent
+    if sol.status != "converged":
+        return nlp_plain, sol, spent
+    traj = extract_solution(nlp_plain, sol.z, objective_value=sol.objective)
+    if nlp is None:
+        # transcribed only now, so that its Jacobian template is not
+        # held through the plain cold solve
+        nlp = transcribe(aug, mesh)
+    sol, staged = _seed_and_solve(nlp, _staged_sensitivity_guess(nlp, traj),
+                                  solver)
+    return nlp, sol, spent + staged
+
+
 def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
     """Solve the mission's reference problem on the full horizon.
 
-    Plain methods cold-start from the built-in linear guess.  The
-    desensitized reference is staged: the plain problem is solved cold,
-    the sensitivity ODE is integrated along that solution to seed the
-    augmented problem, and a Hessian evaluated at the seed turns the
-    augmented solve into a short Newton polish.
+    The cold case of the re-solve pipeline: plain methods start from
+    the built-in linear guess; the desensitized reference solves the
+    plain problem cold, integrates the sensitivity ODE along it to seed
+    the augmented problem, and a Hessian evaluated at the seed turns the
+    augmented solve into a short Newton polish.  Plain methods ignore
+    ``spec``; a desensitized method without one raises ValueError
+    before any solve.
 
     Returns ``(trajectory, solution)``; a desensitized solution's
     ``iterations`` counts the plain stage and every augmented attempt.
     Raises RuntimeError when any stage fails to converge.
     """
-    mesh = _with_mesh(cfg, ocp).mesh
-    nlp = transcribe(ocp, mesh)
-    sol = solve(nlp, initial_guess(ocp, mesh), cfg.solver)
+    if cfg.desensitized and spec is None:
+        raise ValueError(f"method {cfg.method} requires a desensitization spec")
+    nlp, sol, spent = _solve_on(ocp, spec if cfg.desensitized else None, None,
+                                _with_mesh(cfg, ocp).mesh, cfg.solver)
     if sol.status != "converged":
         raise RuntimeError(f"reference solve did not converge: {sol.status}")
-    traj = extract_solution(nlp, sol.z, objective_value=sol.objective)
-    if not cfg.desensitized:
-        return traj, sol
-    if spec is None:
-        raise ValueError(f"method {cfg.method} requires a desensitization spec")
-    aug_prob = augment(ocp, spec)
-    nlp_aug = transcribe(aug_prob, mesh)
-    z0 = _staged_sensitivity_guess(nlp_aug, traj)
-    sol_aug, spent = _seed_and_solve(nlp_aug, z0, cfg.solver)
-    if sol_aug.status != "converged":
-        raise RuntimeError(
-            f"desensitized reference solve did not converge: {sol_aug.status}"
-        )
-    traj_aug = extract_solution(nlp_aug, sol_aug.z,
-                                objective_value=sol_aug.objective)
-    return traj_aug, replace(sol_aug, iterations=sol.iterations + spent)
+    return (extract_solution(nlp, sol.z, objective_value=sol.objective),
+            replace(sol, iterations=spent))
 
 
 def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
@@ -325,46 +371,9 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     attempt made; raises RuntimeError when no attempt converges.
     """
     mesh = base_mesh.with_time_domain(float(t_start), float(tf))
-    x0 = np.asarray(x0, dtype=float)
     shrunk = ocp.with_initial_state(x0, time_domain=(float(t_start), float(tf)))
-    if cfg.desensitized:
-        s_mat = (np.zeros((ocp.n_states, ocp.n_params)) if s0 is None
-                 else np.atleast_2d(np.asarray(s0, dtype=float)))
-        problem = augment(shrunk, spec, s0=s_mat)
-        first_row = np.concatenate([x0, s_mat.ravel(order="F")])
-    else:
-        problem, first_row = shrunk, x0
-    nlp = transcribe(problem, mesh)
-    z_warm = _warm_vector(warm_start, nlp, first_row)
-    if cfg.desensitized:
-        # A consistent warm start polishes in a handful of iterations;
-        # one that crawls is inconsistent and the staged recovery below
-        # is both faster and surer, so the direct attempt gets a short
-        # budget rather than the full one.
-        quick = replace(cfg.solver,
-                        max_iterations=min(25, cfg.solver.max_iterations))
-        sol, spent = _seed_and_solve(nlp, z_warm, quick, retry_default=False)
-    else:
-        sol, spent = _seed_and_solve(nlp, z_warm, cfg.solver)
-    if sol.status != "converged" and cfg.desensitized:
-        # Staged recovery, mirroring the reference pipeline: when the
-        # carried augmented warm start is too inconsistent (large truth
-        # mismatch on a coarse mesh), solve the plain shrunken problem
-        # first and integrate S along it for a consistent restart.
-        nlp_plain = transcribe(shrunk, mesh)
-        z_plain = _warm_vector(warm_start, nlp_plain, x0)
-        sol_plain, plain_spent = _seed_and_solve(nlp_plain, z_plain, cfg.solver)
-        spent += plain_spent
-        if sol_plain.status == "converged":
-            traj_plain = extract_solution(nlp_plain, sol_plain.z,
-                                          objective_value=sol_plain.objective)
-            try:
-                z_staged = _staged_sensitivity_guess(nlp, traj_plain)
-            except RuntimeError:
-                z_staged = None
-            if z_staged is not None:
-                sol, staged_spent = _seed_and_solve(nlp, z_staged, cfg.solver)
-                spent += staged_spent
+    nlp, sol, spent = _solve_on(shrunk, spec if cfg.desensitized else None, s0,
+                                mesh, cfg.solver, warm=warm_start)
     if sol.status != "converged":
         raise RuntimeError(
             f"guidance re-solve on [{t_start}, {tf}] did not converge: "
@@ -382,51 +391,22 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     whole horizon with ``p_tilde``.  OG/DOG: after each cycle the truth
     state is handed off exactly, the expired horizon is deleted, and
     the problem is re-solved on the remainder; any horizon left after
-    the last cycle is flown open loop on the final solution.  Solver or
-    integrator failures are recorded on the result, never raised.
+    the last cycle is flown open loop on the final solution.  A schedule
+    past the horizon raises ValueError (:func:`check_schedule`) before
+    any solve; solver or integrator failures are recorded on the
+    result, never raised.  Plain methods ignore ``spec``.
 
     ``reference`` may carry a precomputed ``(trajectory, solution)``
     pair from :func:`solve_reference` on the same mesh and method
     family, letting batch drivers solve the reference once and fly many
     perturbed missions against it.
     """
-    t0, tf = ocp.time_domain
-    horizon = tf - t0
-    if cfg.guided:
-        flown = cfg.cycle_count * cfg.cycle_duration
-        if flown > horizon + 1e-9 * max(1.0, horizon):
-            raise ValueError(
-                f"{cfg.cycle_count} cycles x {cfg.cycle_duration} s "
-                f"exceed the {horizon} s horizon"
-            )
+    check_schedule(cfg, ocp.time_domain)
     cfg = _with_mesh(cfg, ocp)
-
-    def failed(message, trajectories, statuses, iterations,
-               seg_times, seg_states, seg_controls, reference_objective):
-        stitched = _stitch(seg_times, seg_states, seg_controls)
-        return MissionResult(
-            method=cfg.method, trajectories=trajectories, statuses=statuses,
-            iterations=iterations, times=stitched[0], states=stitched[1],
-            controls=stitched[2], terminal_state=None, epsilon=float("nan"),
-            reference_objective=reference_objective, failed=True,
-            failure_cycle=len(trajectories) - 1, message=message,
-        )
-
-    if reference is None:
-        try:
-            ref_traj, ref_sol = solve_reference(ocp, spec, cfg)
-        except RuntimeError as exc:
-            return failed(str(exc), [], [], [], [], [], [], None)
-    else:
-        ref_traj, ref_sol = reference
-
-    trajectories = [ref_traj]
-    statuses = [ref_sol.status]
-    iterations = [ref_sol.iterations]
-    x_ref_end = ref_traj.state_at(tf)
-    x = ref_traj.state_at(t0).copy()
+    t0, tf = ocp.time_domain
+    trajectories, statuses, iterations = [], [], []
     seg_times, seg_states, seg_controls = [], [], []
-    current = ref_traj
+    failed, message = False, ""
 
     def fly(span_start, span_end):
         nonlocal x
@@ -440,11 +420,17 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
         return sim
 
     try:
+        current, sol = (solve_reference(ocp, spec, cfg) if reference is None
+                        else reference)
+        trajectories.append(current)
+        statuses.append(sol.status)
+        iterations.append(sol.iterations)
+        x = current.state_at(t0).copy()
         if not cfg.guided:
             fly(t0, tf)
         else:
             for s in range(cfg.cycle_count):
-                t_start, t_end = cycle_bounds(s, t0, cfg.cycle_duration, tf=tf)
+                t_start, t_end = cycle_bounds(s, t0, cfg.cycle_duration)
                 sim = fly(t_start, t_end)
                 x_next, s0 = restart_conditions(current, sim, t_end)
                 current, sol, spent = _resolve_cycle(
@@ -456,15 +442,17 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
             if t_covered < tf - 1e-9 * max(1.0, abs(tf)):
                 fly(t_covered, tf)
     except RuntimeError as exc:
-        return failed(str(exc), trajectories, statuses, iterations,
-                      seg_times, seg_states, seg_controls, ref_sol.objective)
+        failed, message = True, str(exc)
 
     times, states, controls = _stitch(seg_times, seg_states, seg_controls)
     return MissionResult(
         method=cfg.method, trajectories=trajectories, statuses=statuses,
         iterations=iterations, times=times, states=states, controls=controls,
-        terminal_state=x.copy(), epsilon=float(x[0] - x_ref_end[0]),
-        reference_objective=ref_sol.objective,
+        terminal_state=None if failed else x.copy(),
+        epsilon=(float("nan") if failed
+                 else float(x[0] - trajectories[0].state_at(tf)[0])),
+        failed=failed, failure_cycle=len(trajectories) - 1 if failed else None,
+        message=message,
     )
 
 

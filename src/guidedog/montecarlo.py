@@ -14,7 +14,8 @@ the shorter one exactly.  Runs are flown one after another in this
 process.
 
 Reference solves are shared: one plain solve covers OC and OG, one
-sensitivity-augmented solve covers DOC and DOG.  Individual mission
+sensitivity-augmented solve covers DOC and DOG.  Every mission gets the
+spec; plain methods ignore it.  Individual mission
 failures are recorded on their records and the campaign continues.
 """
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .guidance import METHODS, GuidanceConfig, run_mission, solve_reference
+from .guidance import (METHODS, GuidanceConfig, check_schedule, run_mission,
+                       solve_reference)
 from .ocp import OcpDefinition
 from .transcription import Mesh, build_mesh
 
@@ -162,59 +164,55 @@ def sample_alpha(seed: int, run_count: int, alpha: float,
     return draws
 
 
-def _family(method: str) -> str:
-    return "aug" if method in ("DOC", "DOG") else "plain"
-
-
 def run_campaign(ocp: OcpDefinition, spec, cfg: MonteCarloConfig,
                  guidance: Optional[GuidanceConfig] = None,
                  ) -> List[MonteCarloRecord]:
     """Fly ``run_count`` paired missions for every requested method.
 
     ``spec`` is the desensitization description used by DOC/DOG (its
-    weights should be consistent with ``cfg.beta`` and ``cfg.q``); pass
-    None when only plain methods are requested.  ``guidance`` supplies
-    the mesh, cycle schedule, and solver options; its ``method`` field
-    is overridden per record.  A reference solve that fails marks every
-    record of its family failed, and individual mission failures are
-    recorded without aborting the campaign.
+    weights should be consistent with ``cfg.beta`` and ``cfg.q``); plain
+    methods ignore it, so pass None when only they are requested.
+    ``guidance`` supplies the mesh, cycle schedule, and solver options;
+    its ``method`` field is overridden per record.  A schedule past the
+    horizon or a missing spec raises ValueError before any solve.  A
+    reference solve that fails marks every record of its family failed,
+    and individual mission failures are recorded without aborting the
+    campaign.
     """
     if guidance is None:
         guidance = GuidanceConfig()
-
-    needs_aug = any(_family(m) == "aug" for m in cfg.methods)
-    if needs_aug and spec is None:
-        raise ValueError("DOC/DOG campaigns need a desensitization spec")
+    configs = {m: replace(guidance, method=m) for m in cfg.methods}
+    for mission_cfg in configs.values():
+        check_schedule(mission_cfg, ocp.time_domain)
 
     nominal = np.asarray(ocp.nominal_params, dtype=float)
     alpha = float(nominal[0])
     draws = sample_alpha(cfg.seed, cfg.run_count, alpha, cfg.q * alpha)
 
-    references: Dict[str, Optional[tuple]] = {}
-    for family in {_family(m) for m in cfg.methods}:
-        family_spec = spec if family == "aug" else None
-        probe = replace(guidance, method="DOC" if family == "aug" else "OC")
+    # one reference per family, the desensitized one first so that a
+    # missing spec raises before any solve
+    references: Dict[bool, Optional[tuple]] = {}
+    for desensitized in sorted({c.desensitized for c in configs.values()},
+                               reverse=True):
+        probe = replace(guidance, method="DOC" if desensitized else "OC")
         try:
-            references[family] = solve_reference(ocp, family_spec, probe)
+            references[desensitized] = solve_reference(ocp, spec, probe)
         except RuntimeError:
-            references[family] = None
+            references[desensitized] = None
 
     def one_run(i: int) -> List[MonteCarloRecord]:
         alpha_tilde = float(draws[i])
         p_tilde = nominal.copy()
         p_tilde[0] = alpha_tilde
         rows = []
-        for method in cfg.methods:
-            family = _family(method)
-            reference = references[family]
+        for method, mission_cfg in configs.items():
+            reference = references[mission_cfg.desensitized]
             if reference is None:
                 rows.append(MonteCarloRecord(i, alpha_tilde, method,
                                              float("nan"), "failed", 0))
                 continue
-            mission = run_mission(
-                ocp, spec if family == "aug" else None,
-                replace(guidance, method=method),
-                p_tilde=p_tilde, reference=reference)
+            mission = run_mission(ocp, spec, mission_cfg, p_tilde=p_tilde,
+                                  reference=reference)
             rows.append(MonteCarloRecord(
                 run=i, alpha_tilde=alpha_tilde, method=method,
                 epsilon=float("nan") if mission.failed else mission.epsilon,

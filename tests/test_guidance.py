@@ -6,6 +6,7 @@ from guidedog import guidance
 from guidedog.guidance import (
     GuidanceConfig,
     _resolve_cycle,
+    check_schedule,
     cycle_bounds,
     restart_conditions,
     run_mission,
@@ -68,12 +69,9 @@ def test_cycle_bounds_length_invariant():
 
 def test_cycle_bounds_errors():
     with pytest.raises(ValueError):
-        cycle_bounds(12, 0.0, 4.0, tf=50.0)   # would end at 52
-    with pytest.raises(ValueError):
         cycle_bounds(-1, 0.0, 4.0)
     with pytest.raises(ValueError):
         cycle_bounds(0, 0.0, 0.0)
-    cycle_bounds(11, 0.0, 4.0, tf=50.0)       # 48 <= 50 is fine
 
 
 def test_config_validation_and_flags():
@@ -260,13 +258,19 @@ def test_failed_resolve_raises_in_remap(problem, oc_mission):
                        4.0, 50.0, ref)
 
 
-def test_resolve_iterations_sum_every_attempt(monkeypatch):
-    # on the study mesh the first OG re-solve is not a one-shot polish:
-    # the seeded attempt fails and the default retry converges, and the
-    # mission must report the iterations of both
-    ocp, _ = example_problem()
-    cfg = GuidanceConfig(method="OG", mesh=study_mesh(), cycle_count=1)
-    reference = solve_reference(ocp, None, cfg)
+@pytest.mark.parametrize("method, least_attempts", [("OG", 2), ("DOG", 4)],
+                         ids=["OG", "DOG"])
+def test_resolve_iterations_sum_every_attempt(monkeypatch, method,
+                                              least_attempts):
+    # on the study mesh the first re-solve is not a one-shot polish.  OG:
+    # the seeded attempt fails and the default retry converges.  DOG (at
+    # fig3a's beta) runs every branch of the pipeline: the short quick
+    # attempt, the plain seeded attempt, its default retry and the staged
+    # augmented solve.  The mission must report the iterations of all.
+    ocp, make_spec = example_problem()
+    spec = make_spec(beta=5.0, q=0.01)
+    cfg = GuidanceConfig(method=method, mesh=study_mesh(), cycle_count=1)
+    reference = solve_reference(ocp, spec, cfg)
     attempts = []
 
     def counted_solve(*args, **kwargs):
@@ -275,11 +279,41 @@ def test_resolve_iterations_sum_every_attempt(monkeypatch):
         return sol
 
     monkeypatch.setattr(guidance, "solve", counted_solve)
-    mission = run_mission(ocp, None, cfg, p_tilde=np.array([2.0178]),
+    mission = run_mission(ocp, spec, cfg, p_tilde=np.array([2.0178]),
                           reference=reference)
     assert not mission.failed
-    assert len(attempts) >= 2
+    assert len(attempts) >= least_attempts
     assert mission.iterations[1] == sum(attempts)
+
+
+def test_desensitized_reference_without_spec_fails_before_any_solve(
+        monkeypatch):
+    ocp, _ = example_problem()
+    calls = []
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return sqp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(guidance, "solve", counted_solve)
+    with pytest.raises(ValueError, match="desensitization spec"):
+        solve_reference(ocp, None, GuidanceConfig(method="DOC"))
+    assert calls == []
+
+
+def test_schedule_rule_applies_only_to_guided_methods():
+    for method in ("OG", "DOG"):
+        with pytest.raises(ValueError, match="13 cycles x 4.0 s exceed "
+                                             "the 50.0 s horizon"):
+            check_schedule(GuidanceConfig(method=method, cycle_count=13),
+                           (0.0, 50.0))
+        check_schedule(GuidanceConfig(method=method, cycle_count=12),
+                       (0.0, 50.0))                 # 48 <= 50 is fine
+        check_schedule(GuidanceConfig(method=method, cycle_count=5,
+                                      cycle_duration=10.0), (0.0, 50.0))
+    for method in ("OC", "DOC"):
+        check_schedule(GuidanceConfig(method=method, cycle_count=13),
+                       (0.0, 50.0))
 
 
 def test_desensitized_reference_counts_both_stages(problem, monkeypatch):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from guidedog.guidance import GuidanceConfig
+from guidedog import montecarlo
+from guidedog.guidance import GuidanceConfig, solve_reference
 from guidedog.montecarlo import (PRESETS, MethodSummary, MonteCarloConfig,
                                  MonteCarloRecord, run_campaign, sample_alpha,
                                  study_mesh, summarize)
@@ -165,6 +166,24 @@ def test_augmented_campaign_demands_spec(example):
                            methods=("DOC",))
     with pytest.raises(ValueError):
         run_campaign(ocp, None, cfg)
+
+
+def test_schedule_past_the_horizon_raises_before_any_solve(example,
+                                                          monkeypatch):
+    ocp, _ = example
+    calls = []
+
+    def counted_reference(*args, **kwargs):
+        calls.append(1)
+        return solve_reference(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "solve_reference", counted_reference)
+    cfg = MonteCarloConfig(run_count=1, q=0.0, beta=0.0, seed=1,
+                           methods=("OC", "OG"))
+    with pytest.raises(ValueError, match="13 cycles x 4.0 s exceed"):
+        run_campaign(ocp, None, cfg,
+                     guidance=GuidanceConfig(cycle_count=13))
+    assert calls == []
 
 
 def test_reference_failure_marks_records_and_continues(example):

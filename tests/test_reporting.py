@@ -200,8 +200,8 @@ def test_mission_csv_rejects_failed_mission(tmp_path):
     mission = MissionResult(
         method="OC", trajectories=[], statuses=[], iterations=[],
         times=np.zeros(0), states=np.zeros((0, 1)), controls=np.zeros((0, 1)),
-        terminal_state=None, epsilon=float("nan"), reference_objective=None,
-        failed=True, failure_cycle=-1, message="reference diverged")
+        terminal_state=None, epsilon=float("nan"), failed=True,
+        failure_cycle=-1, message="reference diverged")
     with pytest.raises(ValueError):
         write_mission_csv(mission, str(tmp_path / "mission.csv"))
 
