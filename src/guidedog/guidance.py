@@ -50,6 +50,7 @@ __all__ = [
     "MissionResult",
     "check_schedule",
     "cycle_bounds",
+    "nominal_first_resolve",
     "restart_conditions",
     "solve_reference",
     "run_mission",
@@ -73,8 +74,8 @@ class GuidanceConfig:
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         object.__setattr__(self, "method", method)
-        if self.cycle_duration <= 0.0:
-            raise ValueError("cycle_duration must be positive")
+        if not (np.isfinite(self.cycle_duration) and self.cycle_duration > 0.0):
+            raise ValueError("cycle_duration must be positive and finite")
         if self.cycle_count < 1:
             raise ValueError("cycle_count must be at least 1")
 
@@ -143,8 +144,8 @@ def cycle_bounds(s: int, t0: float, cycle_duration: float
     """Time span covered by guidance cycle ``s`` (cycles index from 0)."""
     if s < 0:
         raise ValueError(f"cycle index must be nonnegative, got {s}")
-    if cycle_duration <= 0.0:
-        raise ValueError("cycle_duration must be positive")
+    if not (np.isfinite(cycle_duration) and cycle_duration > 0.0):
+        raise ValueError("cycle_duration must be positive and finite")
     return t0 + s * cycle_duration, t0 + (s + 1) * cycle_duration
 
 
@@ -383,23 +384,57 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
             spent)
 
 
+def _ends_horizon(t: float, tf: float) -> bool:
+    """Whether time ``t`` leaves no horizon before ``tf`` to re-solve on."""
+    return t >= tf - 1e-9 * max(1.0, abs(tf))
+
+
+def nominal_first_resolve(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
+                          reference) -> Optional[Trajectory]:
+    """Cycle 0's re-solve at the nominal parameters, from ``reference``.
+
+    Batch drivers pass it to every draw's :func:`run_mission` as
+    ``first_warm``: a draw hands off near the nominal state, so its
+    first re-solve starts next to its optimum.  None when the first
+    cycle ends at tf, or when the flight or the re-solve fails.
+    """
+    cfg = _with_mesh(cfg, ocp)
+    t0, tf = ocp.time_domain
+    t_end = cycle_bounds(0, t0, cfg.cycle_duration)[1]
+    if _ends_horizon(t_end, tf):
+        return None
+    traj = reference[0]
+    try:
+        sim = integrate(ocp, traj, traj.state_at(t0), (t0, t_end))
+        x0, s0 = restart_conditions(traj, sim, t_end)
+        return _resolve_cycle(ocp, spec, cfg, cfg.mesh, x0, s0, t_end, tf,
+                              traj)[0]
+    except RuntimeError:
+        return None
+
+
 def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
-                p_tilde=None, reference=None) -> MissionResult:
+                p_tilde=None, reference=None, first_warm=None
+                ) -> MissionResult:
     """Fly one mission with the configured method.
 
     OC/DOC: one reference solve, then one truth integration across the
     whole horizon with ``p_tilde``.  OG/DOG: after each cycle the truth
     state is handed off exactly, the expired horizon is deleted, and
-    the problem is re-solved on the remainder; any horizon left after
-    the last cycle is flown open loop on the final solution.  A schedule
-    past the horizon raises ValueError (:func:`check_schedule`) before
-    any solve; solver or integrator failures are recorded on the
-    result, never raised.  Plain methods ignore ``spec``.
+    the problem is re-solved on the remainder (not after a cycle that
+    ends at tf); any horizon left after the last cycle is flown open
+    loop on the final solution.  A schedule past the horizon raises
+    ValueError (:func:`check_schedule`) before any solve; solver or
+    integrator failures are recorded on the result, never raised.
+    Plain methods ignore ``spec``.
 
     ``reference`` may carry a precomputed ``(trajectory, solution)``
     pair from :func:`solve_reference` on the same mesh and method
     family, letting batch drivers solve the reference once and fly many
-    perturbed missions against it.
+    perturbed missions against it.  ``first_warm``, the result of
+    :func:`nominal_first_resolve` for that reference, replaces the
+    reference as cycle 0's warm start; the handoff state and S(t1)
+    stay the mission's own.
     """
     check_schedule(cfg, ocp.time_domain)
     cfg = _with_mesh(cfg, ocp)
@@ -425,22 +460,21 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
         trajectories.append(current)
         statuses.append(sol.status)
         iterations.append(sol.iterations)
-        x = current.state_at(t0).copy()
-        if not cfg.guided:
-            fly(t0, tf)
-        else:
-            for s in range(cfg.cycle_count):
-                t_start, t_end = cycle_bounds(s, t0, cfg.cycle_duration)
-                sim = fly(t_start, t_end)
-                x_next, s0 = restart_conditions(current, sim, t_end)
-                current, sol, spent = _resolve_cycle(
-                    ocp, spec, cfg, cfg.mesh, x_next, s0, t_end, tf, current)
-                trajectories.append(current)
-                statuses.append(sol.status)
-                iterations.append(spent)
-            t_covered = t0 + cfg.cycle_count * cfg.cycle_duration
-            if t_covered < tf - 1e-9 * max(1.0, abs(tf)):
-                fly(t_covered, tf)
+        x, t_flown = current.state_at(t0).copy(), t0
+        for s in range(cfg.cycle_count if cfg.guided else 0):
+            sim = fly(t_flown, cycle_bounds(s, t0, cfg.cycle_duration)[1])
+            t_flown = sim.t_end
+            if _ends_horizon(t_flown, tf):
+                break
+            x_next, s0 = restart_conditions(current, sim, t_flown)
+            warm = current if s or first_warm is None else first_warm
+            current, sol, spent = _resolve_cycle(
+                ocp, spec, cfg, cfg.mesh, x_next, s0, t_flown, tf, warm)
+            trajectories.append(current)
+            statuses.append(sol.status)
+            iterations.append(spent)
+        if not _ends_horizon(t_flown, tf):
+            fly(t_flown, tf)
     except RuntimeError as exc:
         failed, message = True, str(exc)
 

@@ -14,9 +14,11 @@ the shorter one exactly.  Runs are flown one after another in this
 process.
 
 Reference solves are shared: one plain solve covers OC and OG, one
-sensitivity-augmented solve covers DOC and DOG.  Every mission gets the
-spec; plain methods ignore it.  Individual mission
-failures are recorded on their records and the campaign continues.
+sensitivity-augmented solve covers DOC and DOG.  So is each guided
+method's first re-solve, made once at the nominal parameters: every
+draw's first re-solve warm-starts from it.  Every mission gets the spec;
+plain methods ignore it.  Individual mission failures are recorded on
+their records and the campaign continues.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .guidance import (METHODS, GuidanceConfig, check_schedule, run_mission,
-                       solve_reference)
+from .guidance import (METHODS, GuidanceConfig, check_schedule,
+                       nominal_first_resolve, run_mission, solve_reference)
 from .ocp import OcpDefinition
 from .transcription import Mesh, build_mesh
 
@@ -95,10 +97,10 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.run_count < 1:
             raise ValueError("run_count must be at least 1")
-        if self.q < 0.0:
-            raise ValueError("q must be nonnegative")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if not (np.isfinite(self.q) and self.q >= 0.0):
+            raise ValueError("q must be nonnegative and finite")
+        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError("beta must be nonnegative and finite")
         if not 0 <= int(self.seed) < _MAX_SEED:
             raise ValueError("seed must fit in 64 bits")
         methods = tuple(str(m).upper() for m in self.methods)
@@ -122,7 +124,7 @@ class MonteCarloRecord:
     method: str
     epsilon: float          # NaN when the mission failed
     status: str             # "ok" or "failed"
-    iterations: int         # SQP iterations of every attempt behind this run's re-solves
+    iterations: int         # SQP iterations of all attempts behind this run's own re-solves
 
     @property
     def ok(self) -> bool:
@@ -199,6 +201,11 @@ def run_campaign(ocp: OcpDefinition, spec, cfg: MonteCarloConfig,
             references[desensitized] = solve_reference(ocp, spec, probe)
         except RuntimeError:
             references[desensitized] = None
+    # each guided method's first re-solve, made once at the nominal draw
+    first_warm = {m: nominal_first_resolve(ocp, spec, c,
+                                           references[c.desensitized])
+                  for m, c in configs.items()
+                  if c.guided and references[c.desensitized] is not None}
 
     def one_run(i: int) -> List[MonteCarloRecord]:
         alpha_tilde = float(draws[i])
@@ -212,7 +219,8 @@ def run_campaign(ocp: OcpDefinition, spec, cfg: MonteCarloConfig,
                                              float("nan"), "failed", 0))
                 continue
             mission = run_mission(ocp, spec, mission_cfg, p_tilde=p_tilde,
-                                  reference=reference)
+                                  reference=reference,
+                                  first_warm=first_warm.get(method))
             rows.append(MonteCarloRecord(
                 run=i, alpha_tilde=alpha_tilde, method=method,
                 epsilon=float("nan") if mission.failed else mission.epsilon,

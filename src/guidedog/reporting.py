@@ -46,6 +46,10 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with handle:
             handle.write(text)
+        # created 0600: give the artifact the mode a plain open() would
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(handle.name, 0o666 & ~mask)
         os.replace(handle.name, path)
     except BaseException:
         try:

@@ -62,13 +62,16 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
 
     ``u`` is read from each mesh interval's own control polynomial.
     ``span = (t_start, t_end)`` must lie within the trajectory's time
-    domain; a reversed span integrates backward.  Raises RuntimeError
+    domain; a non-finite span or ``p_tilde`` raises ValueError, and a
+    reversed span integrates backward.  Raises RuntimeError
     when the integrator cannot reach the end of a segment.
     """
     t_start, t_end = float(span[0]), float(span[1])
     ocp = getattr(ocp, "ocp", ocp)   # accept an augmented wrapper as-is
     if abs_tol <= 0.0 or rel_tol <= 0.0:
         raise ValueError("integration tolerances must be positive")
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise ValueError(f"span [{t_start}, {t_end}] must be finite")
     lo, hi = sorted((t_start, t_end))
     slack = 1e-9 * (1.0 + max(abs(traj.t0), abs(traj.tf)))
     if lo < traj.t0 - slack or hi > traj.tf + slack:
@@ -82,6 +85,8 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
         raise ValueError(
             f"p_tilde has shape {params.shape}, expected ({ocp.n_params},)"
         )
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"p_tilde must be finite, got {params}")
 
     def rhs(t, x, control):
         return np.atleast_1d(np.asarray(

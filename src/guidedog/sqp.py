@@ -78,8 +78,8 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.kkt_tolerance > 0.0:
-            raise ValueError("kkt_tolerance must be positive")
+        if not (np.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0.0):
+            raise ValueError("kkt_tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -261,6 +261,30 @@ def test_guidance_cycles_beyond_the_horizon_rejected_before_any_solve(
     assert "flew 0 guidance cycles" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section, key, command", [
+    ("guidance", "period", "mission"),
+    ("solver", "kkt_tolerance", "solve"),
+    ("mc", "q", "campaign"),
+    ("mc", "beta", "campaign"),
+])
+def test_non_finite_settings_exit_one(tmp_path, capsys, section, key,
+                                      command):
+    for value in ("nan", "inf"):
+        config = _write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        rc = main([command, "--config", config, "--output", str(tmp_path)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.ini"]
+
+
+def test_non_finite_flown_parameter_exits_one(tmp_path, capsys):
+    rc = main(["mission", "--method", "OG", "--alpha-tilde", "nan",
+               "--output", str(tmp_path)])
+    assert rc == 1
+    assert "p_tilde must be finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_readme_config_example_parses(tmp_path):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as handle:

@@ -8,6 +8,7 @@ from guidedog.guidance import (
     _resolve_cycle,
     check_schedule,
     cycle_bounds,
+    nominal_first_resolve,
     restart_conditions,
     run_mission,
     solve_reference,
@@ -72,6 +73,8 @@ def test_cycle_bounds_errors():
         cycle_bounds(-1, 0.0, 4.0)
     with pytest.raises(ValueError):
         cycle_bounds(0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        cycle_bounds(0, 0.0, float("nan"))
 
 
 def test_config_validation_and_flags():
@@ -86,6 +89,9 @@ def test_config_validation_and_flags():
         GuidanceConfig(cycle_duration=0.0)
     with pytest.raises(ValueError):
         GuidanceConfig(cycle_count=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            GuidanceConfig(cycle_duration=bad)
 
 
 def test_restart_conditions_sources(problem, oc_mission, doc_mission):
@@ -232,6 +238,42 @@ def test_mission_rejects_oversized_cycle_budget(problem):
     ocp, spec = problem
     with pytest.raises(ValueError):
         run_mission(ocp, spec, GuidanceConfig(method="DOG", cycle_count=13))
+
+
+@pytest.mark.parametrize("method", ["OG", "DOG"])
+def test_schedule_that_fills_the_horizon_makes_no_resolve_at_tf(problem,
+                                                                method):
+    # 10 x 5 s and 1 x 50 s pass the schedule rule; the cycle that ends
+    # at tf leaves no horizon, so it is flown but not re-solved
+    ocp, spec = problem
+    reference = solve_reference(ocp, spec, GuidanceConfig(method=method))
+    for count, duration in ((10, 5.0), (1, 50.0)):
+        cfg = GuidanceConfig(method=method, cycle_count=count,
+                             cycle_duration=duration)
+        mission = run_mission(ocp, spec, cfg, p_tilde=np.array([2.02]),
+                              reference=reference)
+        assert not mission.failed, mission.message
+        assert len(mission.trajectories) == count    # reference + count - 1
+        assert mission.times[-1] == 50.0
+    # one cycle over the whole horizon flies the reference open loop
+    open_loop = run_mission(ocp, spec, GuidanceConfig(
+        method="DOC" if method == "DOG" else "OC"),
+        p_tilde=np.array([2.02]), reference=reference)
+    assert mission.epsilon == open_loop.epsilon
+    assert nominal_first_resolve(ocp, spec, cfg, reference) is None
+
+
+def test_nominal_first_resolve_is_the_nominal_missions_first_resolve(
+        problem):
+    ocp, spec = problem
+    cfg = GuidanceConfig(method="DOG", cycle_count=1)
+    reference = solve_reference(ocp, spec, cfg)
+    shared = nominal_first_resolve(ocp, spec, cfg, reference)
+    mission = run_mission(ocp, spec, cfg, reference=reference)
+    assert (shared.t0, shared.tf) == (4.0, 50.0)
+    for got, want in zip(shared.state_values,
+                         mission.trajectories[1].state_values):
+        assert np.array_equal(got, want)
 
 
 def test_reference_failure_is_recorded(problem):

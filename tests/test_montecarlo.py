@@ -1,11 +1,12 @@
 """Tests for the Monte Carlo campaign layer."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from guidedog import montecarlo
-from guidedog.guidance import GuidanceConfig, solve_reference
+from guidedog import guidance, montecarlo
+from guidedog.guidance import GuidanceConfig, run_mission, solve_reference
 from guidedog.montecarlo import (PRESETS, MethodSummary, MonteCarloConfig,
                                  MonteCarloRecord, run_campaign, sample_alpha,
                                  study_mesh, summarize)
@@ -78,6 +79,11 @@ def test_config_rejects_bad_fields():
         MonteCarloConfig(methods=("OC", "XYZ"))
     with pytest.raises(ValueError):
         MonteCarloConfig(seed=-1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            MonteCarloConfig(q=bad)
+        with pytest.raises(ValueError, match="finite"):
+            MonteCarloConfig(beta=bad)
 
 
 def test_config_normalizes_methods():
@@ -213,6 +219,108 @@ def test_doc_spread_grows_with_uncertainty(example):
         records = run_campaign(ocp, make_spec(beta=10.0, q=q), cfg)
         stds[q] = summarize(records)["DOC"].std
     assert stds[0.02] >= stds[0.01]
+
+
+# ---------------------------------------------------------------------------
+# the shared first re-solve of guided methods
+
+
+def _fig3a_guided(run_count, **guidance_fields):
+    ocp, make_spec = example_problem()
+    q, beta = PRESETS["fig3a"]
+    cfg = MonteCarloConfig(run_count=run_count, q=q, beta=beta, seed=7,
+                           methods=("OG", "DOG"))
+    return (ocp, make_spec(beta=beta, q=q), cfg,
+            GuidanceConfig(mesh=study_mesh(), **guidance_fields))
+
+
+def _spied_campaign(monkeypatch, ocp, spec, cfg, guidance_cfg):
+    """Run a campaign, returning its records and every (kwargs, mission)
+    ``montecarlo.run_mission`` saw; every patch of ``monkeypatch`` is
+    undone afterwards."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        mission = run_mission(*args, **kwargs)
+        calls.append((kwargs, mission))
+        return mission
+
+    monkeypatch.setattr(montecarlo, "run_mission", spy)
+    records = run_campaign(ocp, spec, cfg, guidance=guidance_cfg)
+    monkeypatch.undo()
+    return records, calls
+
+
+@pytest.fixture(scope="module")
+def guided_campaign():
+    """A 3-draw fig3a OG + DOG campaign on the study mesh."""
+    ocp, spec, cfg, guidance_cfg = _fig3a_guided(3)
+    with pytest.MonkeyPatch.context() as mp:
+        records, calls = _spied_campaign(mp, ocp, spec, cfg, guidance_cfg)
+    return ocp, spec, cfg, guidance_cfg, records, calls
+
+
+def test_campaign_flies_one_mission_per_draw_and_method(guided_campaign):
+    _, _, cfg, _, records, calls = guided_campaign
+    assert len(calls) == cfg.run_count * len(cfg.methods) == len(records)
+    assert all(kwargs["first_warm"] is not None for kwargs, _ in calls)
+
+
+def test_shared_first_resolve_makes_each_first_resolve_a_polish(
+        guided_campaign):
+    # from the reference, the study mesh's first DOG re-solve takes
+    # 77-88 iterations and OG's 15-18
+    _, _, _, _, records, calls = guided_campaign
+    for record, (_, mission) in zip(records, calls):
+        assert record.ok
+        assert mission.iterations[1] <= 5, (record.method, mission.iterations)
+
+
+def test_campaign_matches_standalone_missions(guided_campaign):
+    ocp, spec, _, guidance_cfg, records, _ = guided_campaign
+    for record in records:
+        standalone = run_mission(
+            ocp, spec, replace(guidance_cfg, method=record.method),
+            p_tilde=np.array([record.alpha_tilde]))
+        assert not standalone.failed
+        assert abs(record.epsilon - standalone.epsilon) <= 1e-9
+
+
+def test_shorter_guided_campaign_is_a_prefix_of_a_longer_one(
+        guided_campaign):
+    ocp, spec, _, guidance_cfg, records, _ = guided_campaign
+    _, _, cfg5, _ = _fig3a_guided(5)
+    longer = run_campaign(ocp, spec, cfg5, guidance=guidance_cfg)
+    assert longer[:len(records)] == records
+
+
+def test_failed_shared_resolve_flies_every_draw_from_the_reference(
+        monkeypatch):
+    ocp, spec, cfg, guidance_cfg = _fig3a_guided(2, cycle_count=3)
+    real_resolve = guidance._resolve_cycle
+    shared_calls = []
+
+    def failing_first(*args, **kwargs):
+        # run_campaign makes the shared solves, one per guided method,
+        # before it flies any draw
+        if len(shared_calls) < len(cfg.methods):
+            shared_calls.append(1)
+            raise RuntimeError("guidance re-solve did not converge")
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(guidance, "_resolve_cycle", failing_first)
+    records, calls = _spied_campaign(monkeypatch, ocp, spec, cfg,
+                                     guidance_cfg)
+    assert shared_calls == [1, 1]
+    assert all(kwargs["first_warm"] is None for kwargs, _ in calls)
+    for record in records:
+        mission_cfg = replace(guidance_cfg, method=record.method)
+        alone = run_mission(ocp, spec, mission_cfg,
+                            p_tilde=np.array([record.alpha_tilde]),
+                            reference=solve_reference(ocp, spec, mission_cfg))
+        assert record.ok
+        assert record.epsilon == alone.epsilon
+        assert record.iterations == sum(alone.iterations[1:])
 
 
 # ---------------------------------------------------------------------------

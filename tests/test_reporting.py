@@ -93,6 +93,19 @@ def test_records_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):
+    old = os.umask(0o022)
+    try:
+        path = tmp_path / "records.csv"
+        write_records_csv([_record(0, "OC", 0.0)], str(path))
+        assert os.stat(path).st_mode & 0o777 == 0o644
+        os.umask(0o077)
+        write_records_csv([_record(0, "OC", 0.0)], str(path))
+        assert os.stat(path).st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old)
+
+
 # ---------------------------------------------------------------------------
 # summary CSV
 

@@ -144,6 +144,18 @@ def test_integrate_rejects_span_outside_trajectory():
         integrate(ocp, traj, np.array([1.0]), (-0.2, 0.8))
 
 
+def test_integrate_rejects_non_finite_span_and_parameters():
+    ocp = _plant(lambda x, u, p, t: -x)
+    traj = _trajectory(ocp, build_mesh(0.0, 1.0, 1, 3))
+    for span in ((0.0, float("nan")), (float("nan"), 1.0),
+                 (0.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(ocp, traj, np.array([1.0]), span)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(ocp, traj, np.array([1.0]), (0.0, 1.0),
+                  p_tilde=np.array([float("nan")]))
+
+
 def test_integrate_rejects_bad_tolerances():
     ocp = _plant(lambda x, u, p, t: -x)
     traj = _trajectory(ocp, build_mesh(0.0, 1.0, 1, 3))

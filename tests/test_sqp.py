@@ -173,6 +173,13 @@ def test_unconstrained_quadratic():
     assert sol.multipliers.size == 0
 
 
+def test_solver_options_reject_non_finite_tolerance():
+    # an infinite tolerance would report the cold guess as converged
+    for bad in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="kkt_tolerance"):
+            SolverOptions(kkt_tolerance=bad)
+
+
 def test_max_iterations_status():
     ocp, _ = example_problem()
     mesh = build_mesh(0.0, 50.0, 3, 4)
