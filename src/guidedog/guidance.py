@@ -9,19 +9,18 @@ handoff time.  Desensitized methods (DOC/DOG) carry sensitivity states
 and the terminal penalty; plain methods (OC/OG) solve the unaugmented
 problem.
 
-The reference solve is the cold case of the re-solve pipeline: one
-chain (plain solve, sensitivity staged along it, seeded augmented
-solve) runs from the linear guess at t0 and from the previous solution
-at every later handoff.
+The reference and every re-solve share one solve chain of at most
+three attempts, each run only when the one before did not settle the
+solve: a re-solve's polish of the previous solution, seeded with the
+Lagrangian Hessian estimated there (one or two iterations at the
+nominal parameter); the unseeded plain solve, from that warm start or
+the linear guess; and for desensitized methods the seeded augmented
+solve from the sensitivity staged along the plain solution.
 
 Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
 previous solution evaluated at that mesh's node times
-(``Mesh.node_times``).  Sensitivity staging runs along a trajectory's
-own intervals and node times.  Seeding the solver
-with the Lagrangian Hessian evaluated at the warm point makes each
-re-solve a Newton polish: at the nominal parameter every cycle
-converges in one or two iterations.
+(``Mesh.node_times``).
 """
 from __future__ import annotations
 
@@ -102,10 +101,9 @@ class MissionResult:
 
     ``trajectories`` holds the reference solve first, then one entry
     per guidance re-solve; ``statuses``/``iterations`` line up with it.
-    Every entry sums all SQP attempts behind its solve: the plain stage
-    and the augmented polish of a desensitized reference, and for a
-    re-solve the seeded attempt, the default retry and the staged
-    chain, whichever ran.
+    Every entry sums the SQP attempts of its solve chain: the seeded
+    polish, the plain solve and the staged augmented solve, whichever
+    ran.
     ``epsilon`` is the signed terminal deviation of the first state
     component against the reference solve's terminal state (NaN when
     the mission failed).  ``failure_cycle`` is None on success, -1 when
@@ -180,30 +178,6 @@ def _warm_vector(traj: Trajectory, nlp, first_row: np.ndarray) -> np.ndarray:
     states[0] = first_row
     controls = traj.control_at(np.minimum(col, traj.tf))
     return pack_values(nlp.layout, states, controls)
-
-
-def _seed_and_solve(nlp, z: np.ndarray, solver_opts: SolverOptions,
-                    retry_default: bool = True):
-    """Solve from z with multipliers and Hessian estimated at z.
-
-    Near an optimum the estimated Lagrangian Hessian turns the solve
-    into a Newton polish (one or two iterations).  Far from one it can
-    be indefinite and stall the line search, so a failed seeded solve
-    falls back to the same warm start under the solver's default
-    quasi-Newton initialization unless the caller has a better
-    recovery of its own (``retry_default=False``).  Returns the solution
-    kept and the iterations of every attempt made.
-    """
-    multipliers = estimate_multipliers(nlp, z)
-    hessian = nlp.lagrangian_hessian(z, multipliers)
-    sol = solve(nlp, z, solver_opts, hessian0=hessian, multipliers0=multipliers)
-    spent = sol.iterations
-    if sol.status != "converged" and retry_default:
-        fallback = solve(nlp, z, solver_opts)
-        spent += fallback.iterations
-        if fallback.status == "converged":
-            return fallback, spent
-    return sol, spent
 
 
 def _jac_profiles(ocp: OcpDefinition, traj: Trajectory, k: int,
@@ -288,75 +262,86 @@ def _staged_sensitivity_guess(nlp_aug, traj: Trajectory) -> np.ndarray:
     return z
 
 
-def _solve_on(problem: OcpDefinition, spec, s0, mesh: Mesh,
-              solver: SolverOptions, warm: Optional[Trajectory] = None):
-    """The solve pipeline shared by the reference and every re-solve.
+# Converging polishes are quick (at most 3 iterations over 1,928 in 10-draw
+# fig3a-d campaigns on both meshes); those still running at 25 were study-mesh
+# first re-solves, which the plain and staged solves then settle.
+POLISH_ITERATIONS = 25
 
-    ``spec`` None solves ``problem`` itself: cold from the linear guess
-    without ``warm``, else seeded from ``warm`` on ``mesh``.  With a
-    spec the augmented problem (S(t0) = ``s0``, zero when None) is
-    solved.  A warm start first gets a short seeded attempt without the
-    default retry: a consistent one polishes in a handful of iterations,
-    and one that crawls is better served by the staged chain.  The
-    staged chain solves the plain problem, stages S along its solution
-    and makes the seeded augmented solve.  Returns ``(nlp, solution,
-    iterations)``, the last summing every SQP attempt made; a failed
-    plain stage is returned as the result.  Staging raises RuntimeError.
+
+def _seeded_solve(nlp, z: np.ndarray, solver: SolverOptions):
+    """Solve from z, seeded with multipliers and Hessian estimated at z."""
+    multipliers = estimate_multipliers(nlp, z)
+    return solve(nlp, z, solver, hessian0=nlp.lagrangian_hessian(z, multipliers),
+                 multipliers0=multipliers)
+
+
+def _solve_on(problem: OcpDefinition, spec, s0, mesh: Mesh,
+              solver: SolverOptions, name: str,
+              warm: Optional[Trajectory] = None):
+    """The solve chain shared by the reference and every re-solve.
+
+    The target is ``problem``, or with ``spec`` its augmented problem
+    (S(t0) = ``s0``, zero when None).  Each attempt runs only when the
+    one before did not settle the solve: (1) with ``warm``, a seeded
+    polish of the target from ``warm``, capped at POLISH_ITERATIONS;
+    (2) the unseeded plain solve, from ``warm`` or the linear guess;
+    (3) with ``spec``, the seeded augmented solve from S staged along
+    the plain solution.  Returns ``(trajectory, solution,
+    iterations)``, the last summing every attempt; raises RuntimeError
+    naming ``name`` when the chain ends unconverged or staging fails.
     """
-    if spec is None:
-        nlp = transcribe(problem, mesh)
-        if warm is None:
-            sol = solve(nlp, initial_guess(problem, mesh), solver)
-            return nlp, sol, sol.iterations
-        z = _warm_vector(warm, nlp, problem.initial_state)
-        return (nlp, *_seed_and_solve(nlp, z, solver))
-    aug = augment(problem, spec, s0=s0)
-    nlp, spent = None, 0
+    aug = None if spec is None else augment(problem, spec, s0=s0)
+    nlp, sol, spent = None, None, 0
     if warm is not None:
-        nlp = transcribe(aug, mesh)
-        quick = replace(solver, max_iterations=min(25, solver.max_iterations))
-        z = _warm_vector(warm, nlp, aug.ocp.initial_state)
-        sol, spent = _seed_and_solve(nlp, z, quick, retry_default=False)
-        if sol.status == "converged":
-            return nlp, sol, spent
-    nlp_plain, sol, plain_spent = _solve_on(problem, None, None, mesh,
-                                            solver, warm)
-    spent += plain_spent
+        nlp = transcribe(problem if aug is None else aug, mesh)
+        z = _warm_vector(warm, nlp, (problem if aug is None
+                                     else aug.ocp).initial_state)
+        sol = _seeded_solve(nlp, z, replace(solver, max_iterations=min(
+            POLISH_ITERATIONS, solver.max_iterations)))
+        spent = sol.iterations
+    if sol is None or sol.status != "converged":
+        if aug is None and warm is not None:
+            plain = nlp
+        else:
+            plain = transcribe(problem, mesh)
+            z = (initial_guess(problem, mesh) if warm is None
+                 else _warm_vector(warm, plain, problem.initial_state))
+        sol = solve(plain, z, solver)
+        spent += sol.iterations
+        if aug is None:
+            nlp = plain
+        elif sol.status == "converged":
+            traj = extract_solution(plain, sol.z, objective_value=sol.objective)
+            if nlp is None:
+                # only now, so its Jacobian is not held through stage 2
+                nlp = transcribe(aug, mesh)
+            sol = _seeded_solve(nlp, _staged_sensitivity_guess(nlp, traj),
+                                solver)
+            spent += sol.iterations
     if sol.status != "converged":
-        return nlp_plain, sol, spent
-    traj = extract_solution(nlp_plain, sol.z, objective_value=sol.objective)
-    if nlp is None:
-        # transcribed only now, so that its Jacobian template is not
-        # held through the plain cold solve
-        nlp = transcribe(aug, mesh)
-    sol, staged = _seed_and_solve(nlp, _staged_sensitivity_guess(nlp, traj),
-                                  solver)
-    return nlp, sol, spent + staged
+        raise RuntimeError(f"{name} did not converge: {sol.status}")
+    return extract_solution(nlp, sol.z, objective_value=sol.objective), sol, spent
 
 
 def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
     """Solve the mission's reference problem on the full horizon.
 
-    The cold case of the re-solve pipeline: plain methods start from
-    the built-in linear guess; the desensitized reference solves the
-    plain problem cold, integrates the sensitivity ODE along it to seed
-    the augmented problem, and a Hessian evaluated at the seed turns the
-    augmented solve into a short Newton polish.  Plain methods ignore
+    The cold case of the solve chain: the plain solve from the linear
+    guess and, for a desensitized method, the seeded augmented solve
+    from the sensitivity staged along it.  Plain methods ignore
     ``spec``; a desensitized method without one raises ValueError
     before any solve.
 
     Returns ``(trajectory, solution)``; a desensitized solution's
-    ``iterations`` counts the plain stage and every augmented attempt.
-    Raises RuntimeError when any stage fails to converge.
+    ``iterations`` counts both stages.  Raises RuntimeError when either
+    stage fails to converge.
     """
     if cfg.desensitized and spec is None:
         raise ValueError(f"method {cfg.method} requires a desensitization spec")
-    nlp, sol, spent = _solve_on(ocp, spec if cfg.desensitized else None, None,
-                                _with_mesh(cfg, ocp).mesh, cfg.solver)
-    if sol.status != "converged":
-        raise RuntimeError(f"reference solve did not converge: {sol.status}")
-    return (extract_solution(nlp, sol.z, objective_value=sol.objective),
-            replace(sol, iterations=spent))
+    traj, sol, spent = _solve_on(ocp, spec if cfg.desensitized else None,
+                                 None, _with_mesh(cfg, ocp).mesh, cfg.solver,
+                                 "reference solve")
+    return traj, replace(sol, iterations=spent)
 
 
 def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
@@ -369,19 +354,13 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     is pinned to ``x0``, and S(t_start) to ``s0`` for desensitized
     methods, while the terminal condition stays in force.  Returns
     ``(trajectory, solution, iterations)``, the last summing every SQP
-    attempt made; raises RuntimeError when no attempt converges.
+    attempt of the chain; raises RuntimeError when the chain fails.
     """
     mesh = base_mesh.with_time_domain(float(t_start), float(tf))
     shrunk = ocp.with_initial_state(x0, time_domain=(float(t_start), float(tf)))
-    nlp, sol, spent = _solve_on(shrunk, spec if cfg.desensitized else None, s0,
-                                mesh, cfg.solver, warm=warm_start)
-    if sol.status != "converged":
-        raise RuntimeError(
-            f"guidance re-solve on [{t_start}, {tf}] did not converge: "
-            f"{sol.status}"
-        )
-    return (extract_solution(nlp, sol.z, objective_value=sol.objective), sol,
-            spent)
+    return _solve_on(shrunk, spec if cfg.desensitized else None, s0, mesh,
+                     cfg.solver, f"guidance re-solve on [{t_start}, {tf}]",
+                     warm=warm_start)
 
 
 def _ends_horizon(t: float, tf: float) -> bool:

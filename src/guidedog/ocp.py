@@ -114,6 +114,8 @@ class DesensitizationSpec:
             w = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             if w.shape[0] != w.shape[1]:
                 raise ValueError(f"{name} must be square, got {w.shape}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"{name} must be finite")
             if np.max(np.abs(w - w.T)) > 1e-12:
                 raise ValueError(f"{name} must be symmetric")
             if np.min(np.linalg.eigvalsh(w)) < -1e-12:
@@ -175,8 +177,8 @@ def example_problem(alpha: float = 2.0):
     Returns ``(ocp, make_spec)`` where ``make_spec(beta, q)`` produces
     the matching :class:`DesensitizationSpec`.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     ocp = OcpDefinition(
         n_states=1,
         n_controls=1,

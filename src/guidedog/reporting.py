@@ -96,14 +96,13 @@ def _float_row(values) -> str:
     return ",".join(format_float(v) for v in values)
 
 
-def write_trajectory_csv(traj: Trajectory, path: str,
-                         grid_points: int = GRID_POINTS) -> None:
-    """Sampled solve: a uniform grid plus every support point.
+def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+    """Sampled solve: a uniform GRID_POINTS grid plus every support point.
 
     Columns are time, the base states, any sensitivity channels (in
     the trajectory's own flattened order), then the controls.
     """
-    times = np.union1d(np.linspace(traj.t0, traj.tf, grid_points),
+    times = np.union1d(np.linspace(traj.t0, traj.tf, GRID_POINTS),
                        np.concatenate(traj.state_times))
     states, controls = traj.sample(times)
     n_x = traj.n_states

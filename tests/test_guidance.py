@@ -15,7 +15,7 @@ from guidedog.guidance import (
 )
 from guidedog.montecarlo import study_mesh
 from guidedog.ocp import example_problem
-from guidedog.sensitivity import augment
+from guidedog.sensitivity import AugmentedOcp, augment
 from guidedog.simulation import integrate
 from guidedog.sqp import SolverOptions, solve as sqp_solve
 from guidedog.transcription import (
@@ -300,15 +300,15 @@ def test_failed_resolve_raises_in_remap(problem, oc_mission):
                        4.0, 50.0, ref)
 
 
-@pytest.mark.parametrize("method, least_attempts", [("OG", 2), ("DOG", 4)],
+@pytest.mark.parametrize("method, least_attempts", [("OG", 2), ("DOG", 3)],
                          ids=["OG", "DOG"])
 def test_resolve_iterations_sum_every_attempt(monkeypatch, method,
                                               least_attempts):
     # on the study mesh the first re-solve is not a one-shot polish.  OG:
-    # the seeded attempt fails and the default retry converges.  DOG (at
-    # fig3a's beta) runs every branch of the pipeline: the short quick
-    # attempt, the plain seeded attempt, its default retry and the staged
-    # augmented solve.  The mission must report the iterations of all.
+    # the polish fails and the unseeded plain solve converges.  DOG (at
+    # fig3a's beta) runs every attempt of the chain: the polish, the
+    # plain solve and the staged augmented solve.  The mission must
+    # report the iterations of all.
     ocp, make_spec = example_problem()
     spec = make_spec(beta=5.0, q=0.01)
     cfg = GuidanceConfig(method=method, mesh=study_mesh(), cycle_count=1)
@@ -326,6 +326,53 @@ def test_resolve_iterations_sum_every_attempt(monkeypatch, method,
     assert not mission.failed
     assert len(attempts) >= least_attempts
     assert mission.iterations[1] == sum(attempts)
+
+
+def _record_attempts(monkeypatch):
+    """Wrap ``guidance.solve``; the returned list gets one entry per SQP
+    attempt, naming the NLP (plain or augmented) and whether the solve
+    was seeded with an estimated Hessian."""
+    attempts = []
+
+    def recorded_solve(nlp, *args, **kwargs):
+        kind = ("augmented" if isinstance(nlp.source, AugmentedOcp)
+                else "plain")
+        seeded = kwargs.get("hessian0") is not None
+        attempts.append(kind + (" seeded" if seeded else ""))
+        return sqp_solve(nlp, *args, **kwargs)
+
+    monkeypatch.setattr(guidance, "solve", recorded_solve)
+    return attempts
+
+
+@pytest.mark.parametrize("method, mesh, expected", [
+    # the polish crawls, so the chain runs to its end
+    ("DOG", "study", ["augmented seeded", "plain", "augmented seeded"]),
+    ("OG", "study", ["plain seeded", "plain"]),
+    # a warm start next to its optimum is settled by the polish alone
+    ("DOG", "default", ["augmented seeded"]),
+    ("OG", "default", ["plain seeded"]),
+], ids=["DOG-study", "OG-study", "DOG-default", "OG-default"])
+def test_first_resolve_runs_the_chain_in_order(monkeypatch, method, mesh,
+                                               expected):
+    ocp, make_spec = example_problem()
+    spec = make_spec(beta=5.0, q=0.01)                # fig3a's weights
+    cfg = GuidanceConfig(method=method, cycle_count=1,
+                         mesh=study_mesh() if mesh == "study" else None)
+    reference = solve_reference(ocp, spec, cfg)
+    attempts = _record_attempts(monkeypatch)
+    mission = run_mission(ocp, spec, cfg, p_tilde=np.array([2.0178]),
+                          reference=reference)
+    assert not mission.failed, mission.message
+    assert attempts == expected
+
+
+def test_cold_desensitized_reference_is_plain_then_staged(problem,
+                                                          monkeypatch):
+    ocp, spec = problem
+    attempts = _record_attempts(monkeypatch)
+    solve_reference(ocp, spec, GuidanceConfig(method="DOC"))
+    assert attempts == ["plain", "augmented seeded"]
 
 
 def test_desensitized_reference_without_spec_fails_before_any_solve(

@@ -94,6 +94,31 @@ def test_spec_rejects_asymmetric_matrix():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["terminal_weight", "param_covariance"])
+def test_spec_rejects_non_finite_matrices(name, bad):
+    # NaN and inf pass the symmetry and PSD comparisons, so without their
+    # own check they reach the solver's linear algebra
+    weights = {"terminal_weight": np.eye(1), "param_covariance": np.eye(1)}
+    weights[name] = np.array([[bad]])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DesensitizationSpec(penalty_jacobian=lambda x: np.eye(1), **weights)
+
+
+def test_spec_template_rejects_non_finite_beta_and_q(example):
+    _, make_spec = example
+    for beta, q in ((np.nan, 0.01), (np.inf, 0.01), (5.0, np.nan),
+                    (5.0, np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_spec(beta=beta, q=q)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_example_problem_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        example_problem(alpha)
+
+
 def test_ocp_validation_errors():
     with pytest.raises(ValueError, match="t0 < tf"):
         example_ocp_with(time_domain=(1.0, 1.0))
