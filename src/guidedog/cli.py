@@ -11,7 +11,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,13 +32,30 @@ __all__ = ["CampaignConfig", "ValidationError", "NumericalError",
 # the closed-loop comparison case pins its flown parameter value
 _PRESET_ALPHA_TILDE: Dict[str, float] = {"fig4": 2.0178}
 
-_CONFIG_KEYS = {
-    "problem": ("name", "alpha"),
-    "mesh": ("intervals", "order"),
-    "solver": ("max_iterations", "kkt_tolerance"),
-    "guidance": ("period", "cycles", "method"),
-    "mc": ("preset", "runs", "q", "beta", "seed", "methods"),
-    "output": ("directory",),
+
+def _parse_methods(raw: str) -> Tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# config (section, key) -> (CampaignConfig field, parser); every default
+# lives on CampaignConfig
+_CONFIG_FIELDS = {
+    ("problem", "name"): ("problem", str),
+    ("problem", "alpha"): ("alpha", float),
+    ("mesh", "intervals"): ("mesh_intervals", int),
+    ("mesh", "order"): ("mesh_order", int),
+    ("solver", "max_iterations"): ("max_iterations", int),
+    ("solver", "kkt_tolerance"): ("kkt_tolerance", float),
+    ("guidance", "period"): ("cycle_duration", float),
+    ("guidance", "cycles"): ("cycle_count", int),
+    ("guidance", "method"): ("method", str),
+    ("mc", "preset"): ("preset", str),
+    ("mc", "runs"): ("runs", int),
+    ("mc", "q"): ("q", float),
+    ("mc", "beta"): ("beta", float),
+    ("mc", "seed"): ("seed", int),
+    ("mc", "methods"): ("methods", _parse_methods),
+    ("output", "directory"): ("output_dir", str),
 }
 
 
@@ -100,13 +117,23 @@ class CampaignConfig:
         object.__setattr__(self, "method", str(self.method).upper())
 
 
-def _convert(section: str, key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError as exc:
+def _apply(cfg: CampaignConfig, values: dict) -> CampaignConfig:
+    """``cfg`` with one layer of settings (config file or flags) on top.
+
+    A preset in the layer pins q and beta unless the layer sets them
+    too; a mesh order needs a mesh interval count, from this layer or
+    an earlier one, since only a uniform mesh takes an order.
+    """
+    if "preset" in values:
+        # an unknown preset keeps q and beta; CampaignConfig rejects it
+        q, beta = PRESETS.get(values["preset"], (cfg.q, cfg.beta))
+        values = {"q": q, "beta": beta, **values}
+    if ("mesh_order" in values
+            and values.get("mesh_intervals", cfg.mesh_intervals) is None):
         raise ValidationError(
-            f"key {section}.{key}: cannot parse {raw!r} as {kind.__name__}"
-        ) from exc
+            "mesh.order (--mesh-order) is set without mesh.intervals "
+            "(--mesh-intervals); give both for a uniform mesh")
+    return replace(cfg, **values)
 
 
 def parse_config(path: str) -> CampaignConfig:
@@ -120,53 +147,24 @@ def parse_config(path: str) -> CampaignConfig:
     except (configparser.Error, OSError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
 
+    sections = {section for section, _ in _CONFIG_FIELDS}
     values = {}
     for section in parser.sections():
-        if section not in _CONFIG_KEYS:
+        if section not in sections:
             raise ValidationError(
                 f"unknown config section [{section}] in {path}")
-        for key in parser[section]:
-            if key not in _CONFIG_KEYS[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in _CONFIG_FIELDS:
                 raise ValidationError(
                     f"unknown key {key!r} in section [{section}] of {path}")
-            values[(section, key)] = parser[section][key]
-
-    def take(section, key, kind, default):
-        raw = values.get((section, key))
-        if raw is None:
-            return default
-        return _convert(section, key, raw.strip(), kind)
-
-    preset = values.get(("mc", "preset"))
-    preset = preset.strip() if preset is not None else None
-    # an unknown preset keeps the defaults; CampaignConfig rejects it
-    q_default, beta_default = PRESETS.get(preset, (0.01, 5.0))
-
-    methods_raw = values.get(("mc", "methods"))
-    if methods_raw is None:
-        methods = METHODS
-    else:
-        methods = tuple(part.strip().upper()
-                        for part in methods_raw.split(",") if part.strip())
-
-    return CampaignConfig(
-        problem=take("problem", "name", str, "example"),
-        alpha=take("problem", "alpha", float, 2.0),
-        mesh_intervals=take("mesh", "intervals", int, None),
-        mesh_order=take("mesh", "order", int, 4),
-        max_iterations=take("solver", "max_iterations", int, 200),
-        kkt_tolerance=take("solver", "kkt_tolerance", float, 1e-8),
-        cycle_duration=take("guidance", "period", float, 4.0),
-        cycle_count=take("guidance", "cycles", int, 12),
-        method=take("guidance", "method", str, "DOG"),
-        preset=preset,
-        runs=take("mc", "runs", int, 100),
-        q=take("mc", "q", float, q_default),
-        beta=take("mc", "beta", float, beta_default),
-        seed=take("mc", "seed", int, 1234),
-        methods=methods,
-        output_dir=take("output", "directory", str, "."),
-    )
+            name, kind = _CONFIG_FIELDS[(section, key)]
+            try:
+                values[name] = kind(raw.strip())
+            except ValueError as exc:
+                raise ValidationError(
+                    f"key {section}.{key}: cannot parse {raw.strip()!r} "
+                    f"as {kind.__name__}") from exc
+    return _apply(CampaignConfig(), values)
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +203,12 @@ def _prepare_output(cfg: CampaignConfig) -> str:
 
 
 def _load(args) -> CampaignConfig:
+    """The config file's settings, then every flag given that is named
+    after a CampaignConfig field."""
     cfg = parse_config(args.config) if args.config else CampaignConfig()
-    overrides = {}
-    for flag, field in (("preset", "preset"), ("beta", "beta"), ("q", "q"),
-                        ("runs", "runs"), ("seed", "seed"),
-                        ("method", "method"),
-                        ("output", "output_dir"),
-                        ("mesh_intervals", "mesh_intervals"),
-                        ("mesh_order", "mesh_order")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if "preset" in overrides:
-        # a preset pins q and beta unless the flags override them too;
-        # an unknown one is rejected by CampaignConfig below
-        preset_q, preset_beta = PRESETS.get(overrides["preset"],
-                                            (cfg.q, cfg.beta))
-        if getattr(args, "q", None) is None:
-            overrides["q"] = preset_q
-        if getattr(args, "beta", None) is None:
-            overrides["beta"] = preset_beta
-    try:
-        return replace(cfg, **overrides)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    names = {f.name for f in fields(CampaignConfig)}
+    return _apply(cfg, {name: value for name, value in vars(args).items()
+                        if name in names and value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +326,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--output", help="output directory (default '.')")
+    sub.add_argument("--output", dest="output_dir",
+                     help="output directory (default '.')")
     sub.add_argument("--preset", help="named case, see the presets command")
     sub.add_argument("--beta", type=float, help="desensitization weight")
     sub.add_argument("--q", type=float, help="parameter spread fraction")

@@ -25,6 +25,7 @@ previous solution evaluated at that mesh's node times
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -75,8 +76,8 @@ class GuidanceConfig:
         object.__setattr__(self, "method", method)
         if not (np.isfinite(self.cycle_duration) and self.cycle_duration > 0.0):
             raise ValueError("cycle_duration must be positive and finite")
-        if self.cycle_count < 1:
-            raise ValueError("cycle_count must be at least 1")
+        if not isinstance(self.cycle_count, Integral) or self.cycle_count < 1:
+            raise ValueError("cycle_count must be an integer of at least 1")
 
     @property
     def desensitized(self) -> bool:

@@ -23,6 +23,7 @@ their records and the campaign continues.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,14 +96,15 @@ class MonteCarloConfig:
     methods: Tuple[str, ...] = METHODS
 
     def __post_init__(self):
-        if self.run_count < 1:
-            raise ValueError("run_count must be at least 1")
+        if not isinstance(self.run_count, Integral) or self.run_count < 1:
+            raise ValueError("run_count must be an integer of at least 1")
         if not (np.isfinite(self.q) and self.q >= 0.0):
             raise ValueError("q must be nonnegative and finite")
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError("beta must be nonnegative and finite")
-        if not 0 <= int(self.seed) < _MAX_SEED:
-            raise ValueError("seed must fit in 64 bits")
+        if (not isinstance(self.seed, Integral)
+                or not 0 <= int(self.seed) < _MAX_SEED):
+            raise ValueError("seed must be an integer that fits in 64 bits")
         methods = tuple(str(m).upper() for m in self.methods)
         if not methods:
             raise ValueError("at least one method is required")

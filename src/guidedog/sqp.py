@@ -24,6 +24,7 @@ has multiplier -6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -80,8 +81,9 @@ class SolverOptions:
     def __post_init__(self):
         if not (np.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0.0):
             raise ValueError("kkt_tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if (not isinstance(self.max_iterations, Integral)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)

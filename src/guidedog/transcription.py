@@ -139,15 +139,14 @@ def example_mesh(t0: float = 0.0, tf: float = 50.0) -> Mesh:
 class Layout:
     """Decision-vector layout of a transcribed problem.
 
-    Ordering: all state support points (point-major, state-dim-minor),
-    then all collocation controls.  Interface support points are stored
-    once and shared.
+    Ordering: all P state support points (point-major, state-dim-minor),
+    then all C collocation controls.  Interface support points are
+    stored once and shared; the mesh (``NlpProblem.mesh``) says which
+    points belong to which interval.
     """
 
     n_aug: int
     n_controls: int
-    orders: tuple
-    state_offsets: np.ndarray    # (K,), first support-point index per interval
     n_state_points: int          # P = sum N_k + 1
     n_colloc: int                # C = sum N_k = P - 1
     n_vars: int
@@ -231,15 +230,15 @@ class NlpProblem:
 
 
 def _central_differences(fun, V: np.ndarray, rel_step: float,
-                         out: np.ndarray) -> np.ndarray:
-    """Central differences of a batched function along each column of V.
+                         out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Central differences of a batched function along columns of V.
 
     ``fun`` maps a (B, n) batch to one value (B,) or one row (B, r) per
-    batch row.  Column d is moved by rel_step * (1 + |V[:, d]|) both
-    ways, and the difference quotient is written to ``out[..., d]``,
-    which is returned.
+    batch row.  Each column d >= ``first`` is moved by
+    rel_step * (1 + |V[:, d]|) both ways, and the difference quotient is
+    written to ``out[..., d]``, which is returned.
     """
-    for d in range(V.shape[1]):
+    for d in range(first, V.shape[1]):
         h = rel_step * (1.0 + np.abs(V[:, d]))
         hi, lo = V.copy(), V.copy()
         hi[:, d] += h
@@ -293,11 +292,16 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     The mesh must match the problem's (fixed) time domain.  Rows are
     the collocation defects, then the initial and terminal pins, all
     equalities with zero right-hand side.  Every callback is evaluated
-    on the stacked batch of collocation points.  The NLP carries
-    derivative hooks built on the transcription's fixed sparsity: the
-    objective gradient, the constraint Jacobian and the Lagrangian
-    Hessian, each assembled from per-point blocks (the problem's
-    ``jac_x`` where given, batched differences otherwise).
+    on the stacked batch of collocation points.
+
+    The derivative hooks share one per-point block map: collocation
+    point i owns the defect rows ``point_rows[i]`` and the columns
+    ``point_vars[i]`` of its (x_i, u_i), and no two points share either.
+    The gradient, the dynamics part of the Jacobian (the problem's
+    ``jac_x`` where given, batched differences otherwise) and the
+    Lagrangian Hessian are (C, ...) stacks of per-point blocks, each
+    scattered through that map in one indexing operation; the Mayer
+    term adds one block on the columns ``end_vars`` of x(t0), x(tf).
     """
     source = problem
     ocp = problem.ocp if isinstance(problem, AugmentedOcp) else problem
@@ -313,34 +317,30 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
 
     na, nu = ocp.n_states, ocp.n_controls
     orders = mesh.orders
-    K = mesh.n_intervals
-    offsets = np.concatenate(([0], np.cumsum(orders)))[:K]
     C = int(np.sum(orders))
     P = C + 1
     n_vars = P * na + C * nu
-    layout = Layout(
-        n_aug=na, n_controls=nu, orders=orders,
-        state_offsets=offsets, n_state_points=P, n_colloc=C,
-        n_vars=n_vars,
-    )
+    layout = Layout(n_aug=na, n_controls=nu, n_state_points=P, n_colloc=C,
+                    n_vars=n_vars)
 
     bases = [basis(nk) for nk in orders]
 
     # all interval differentiation matrices stacked into one (C, P) block
     # band so every defect evaluates in a single product
     diff_block = np.zeros((C, P))
-    for k in range(K):
-        a = offsets[k]
-        diff_block[a:a + orders[k], a:a + orders[k] + 1] = bases[k].diff_matrix
+    for a, nk, bs in zip(np.cumsum((0,) + orders), orders, bases):
+        diff_block[a:a + nk, a:a + nk + 1] = bs.diff_matrix
 
     times = mesh.node_times()[1]
     halves = 0.5 * np.diff(mesh.interval_times())
     h_point = np.repeat(halves, orders)
-    w_scaled = np.concatenate([halves[k] * bases[k].weights for k in range(K)])
-    # columns of each (x, u) dimension at every collocation point
-    colloc = np.arange(C)
-    var_of_dim = [colloc * na + d if d < na else P * na + colloc * nu + (d - na)
-                  for d in range(na + nu)]
+    w_scaled = np.concatenate([h * bs.weights for h, bs in zip(halves, bases)])
+    # the per-point block map (see the docstring); x_i's columns carry
+    # the same numbers as point i's defect rows
+    point_rows = np.arange(C * na).reshape(C, na)
+    point_vars = np.hstack([point_rows,
+                            P * na + np.arange(C * nu).reshape(C, nu)])
+    end_vars = np.concatenate([np.arange(na), (P - 1) * na + np.arange(na)])
 
     init_idx, init_vals = _pin_indices(ocp.initial_state)
     term_idx, term_vals = _pin_indices(ocp.terminal_state)
@@ -356,6 +356,11 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
             return np.zeros(X.shape[0])
         return np.asarray(ocp.running_cost(X, U, times),
                           dtype=float).reshape(-1)
+
+    def point_batch(z):
+        # one (C, na + nu) row of [x_i, u_i] per collocation point
+        X, U = layout.split(z)
+        return np.hstack([X[:-1], U])
 
     def constraints(z: np.ndarray) -> np.ndarray:
         X, U = layout.split(z)
@@ -379,22 +384,16 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         # Quadrature costs are separable across collocation points, so
         # the gradient needs one central difference per state/control
         # dimension, evaluated for all points at once.
-        X, U = layout.split(z)
         g = np.zeros(layout.n_vars)
-        Xc = X[:-1]
-        gx = g[: P * na].reshape(P, na)
-        gu = g[P * na: P * na + C * nu].reshape(C, nu)
         if ocp.running_cost is not None:
-            gx[:-1] += w_scaled[:, None] * _central_differences(
-                lambda V: eval_running(V, U, times), Xc, 1e-6, np.empty_like(Xc))
-            gu += w_scaled[:, None] * _central_differences(
-                lambda V: eval_running(Xc, V, times), U, 1e-6, np.empty_like(U))
+            V = point_batch(z)
+            g[point_vars] += w_scaled[:, None] * _central_differences(
+                lambda W: eval_running(W[:, :na], W[:, na:], times), V, 1e-6,
+                np.empty_like(V))
         if ocp.terminal_cost is not None:
-            ends = np.concatenate([X[0], X[-1]])[None, :]
-            g_end = _central_differences(endpoint_cost, ends, 1e-6,
-                                         np.empty_like(ends))[0]
-            gx[0] += g_end[:na]
-            gx[-1] += g_end[na:]
+            ends = z[end_vars][None, :]
+            g[end_vars] += _central_differences(endpoint_cost, ends, 1e-6,
+                                                np.empty_like(ends))[0]
         return g
 
     hess_step = float(np.finfo(float).eps) ** 0.25
@@ -410,9 +409,7 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         vectorized over every point at once.  The differencing part of
         the defects and the pins are linear and drop out.
         """
-        X, U = layout.split(z)
-        lam = np.asarray(multipliers, dtype=float)
-        lam_defect = lam[: C * na].reshape(C, na)
+        lam_defect = np.asarray(multipliers, dtype=float)[: C * na].reshape(C, na)
 
         def point_scalar(V):
             Xc, Uc = V[:, :na], V[:, na:]
@@ -422,68 +419,43 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
                 val = val + w_scaled * eval_running(Xc, Uc, times)
             return val
 
-        nd = na + nu
-        blocks = _second_differences(point_scalar, np.hstack([X[:-1], U]),
-                                     hess_step)
         hess = np.zeros((layout.n_vars, layout.n_vars))
-        for a in range(nd):
-            for b in range(nd):
-                hess[var_of_dim[a], var_of_dim[b]] += blocks[:, a, b]
-
+        hess[point_vars[:, :, None], point_vars[:, None, :]] += \
+            _second_differences(point_scalar, point_batch(z), hess_step)
         if ocp.terminal_cost is not None:
-            idx = np.concatenate([np.arange(na), (P - 1) * na + np.arange(na)])
-            hess[np.ix_(idx, idx)] += _second_differences(
-                endpoint_cost, z[idx][None, :], hess_step)[0]
+            hess[np.ix_(end_vars, end_vars)] += _second_differences(
+                endpoint_cost, z[end_vars][None, :], hess_step)[0]
         return hess
 
-    # constraint rows: defects, initial pins, terminal pins
-    init_rows = C * na + np.arange(init_idx.size)
-    term_rows = C * na + init_idx.size + np.arange(term_idx.size)
+    # constraint rows: defects, then the initial and terminal pins
     n_rows = C * na + init_idx.size + term_idx.size
 
     # --- constraint Jacobian ----------------------------------------------
     # The differencing part of the defects and the state pins are linear in
     # z, so those entries are assembled once into a template; each call
-    # fills in only the dynamics blocks.
+    # fills in only the per-point dynamics blocks.  kron's 0 * -D entries
+    # are -0.0; adding 0.0 stores them as +0.0.
     jac_static = np.zeros((n_rows, n_vars))
-    for k in range(K):
-        a = offsets[k]
-        nk = orders[k]
-        D = bases[k].diff_matrix
-        for d in range(na):
-            rows = np.arange(a, a + nk) * na + d
-            cols = np.arange(a, a + nk + 1) * na + d
-            jac_static[np.ix_(rows, cols)] = D
-    for j, d in enumerate(init_idx):
-        jac_static[init_rows[j], d] = 1.0
-    for j, d in enumerate(term_idx):
-        jac_static[term_rows[j], (P - 1) * na + d] = 1.0
+    jac_static[: C * na, : P * na] = np.kron(diff_block, np.eye(na)) + 0.0
+    jac_static[np.arange(C * na, n_rows),
+               np.concatenate([init_idx, (P - 1) * na + term_idx])] = 1.0
     jac_step = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
-    def dynamics_point_jacobians(Xc, U, times):
-        """Per-point df/d(x, u), batched over every point: the problem's
-        ``jac_x`` where given, central differences otherwise."""
-        out = np.empty((C, na, na + nu))
-        if ocp.jac_x is not None:
-            out[:, :, :na] = np.asarray(
-                ocp.jac_x(Xc, U, p_nom, times), dtype=float
-            ).reshape(C, na, na)
-        else:
-            _central_differences(lambda V: eval_rates(V, U, times), Xc,
-                                 jac_step, out[:, :, :na])
-        _central_differences(lambda V: eval_rates(Xc, V, times), U,
-                             jac_step, out[:, :, na:])
-        return out
-
     def jacobian(z: np.ndarray) -> np.ndarray:
-        X, U = layout.split(z)
-        Xc = X[:-1]
+        # the template minus h_i * df/d(x_i, u_i) in every point block
+        V = point_batch(z)
+        Fj = np.empty((C, na, na + nu))
+        first = 0
+        if ocp.jac_x is not None:
+            Fj[:, :, :na] = np.asarray(
+                ocp.jac_x(V[:, :na], V[:, na:], p_nom, times), dtype=float
+            ).reshape(C, na, na)
+            first = na
+        _central_differences(lambda W: eval_rates(W[:, :na], W[:, na:], times),
+                             V, jac_step, Fj, first)
         J = jac_static.copy()
-        Fj = dynamics_point_jacobians(Xc, U, times)
-        for i in range(na):
-            rows = colloc * na + i
-            for d in range(na + nu):
-                J[rows, var_of_dim[d]] -= h_point * Fj[:, i, d]
+        J[point_rows[:, :, None], point_vars[:, None, :]] -= \
+            h_point[:, None, None] * Fj
         return J
 
     return NlpProblem(
@@ -519,13 +491,10 @@ def extract_solution(nlp: NlpProblem, z: np.ndarray,
     else:
         n_states = source.n_states if source is not None else layout.n_aug
         sens_shape = None
-    state_values = []
-    control_values = []
-    for k in range(mesh.n_intervals):
-        a = layout.state_offsets[k]
-        nk = layout.orders[k]
-        state_values.append(X[a:a + nk + 1].copy())
-        control_values.append(U[a:a + nk].copy())
+    # with b = a + N_k, interval k holds controls a..b - 1 and states a..b
+    ends = np.cumsum((0,) + mesh.orders)
+    state_values = [X[a:b + 1].copy() for a, b in zip(ends[:-1], ends[1:])]
+    control_values = [U[a:b].copy() for a, b in zip(ends[:-1], ends[1:])]
     traj = Trajectory(
         t0=mesh.t0, tf=mesh.tf, interval_times=mesh.interval_times(),
         orders=mesh.orders,
@@ -536,7 +505,7 @@ def extract_solution(nlp: NlpProblem, z: np.ndarray,
     if isinstance(source, AugmentedOcp):
         # the stored objective includes the sensitivity penalty; keep
         # the physical cost alongside it for reporting and comparisons
-        traj = replace(traj, base_objective=base_objective(traj, source.ocp))
+        traj = replace(traj, base_objective=base_objective(traj, source.base))
     return traj
 
 

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from guidedog.cli import (CampaignConfig, ValidationError, main,
-                          parse_config)
+from guidedog.cli import (CampaignConfig, ValidationError, _load,
+                          build_parser, main, parse_config)
 from guidedog.guidance import METHODS
 
 
@@ -296,3 +296,37 @@ def test_readme_config_example_parses(tmp_path):
     assert cfg.method == "DOG" and cfg.preset == "fig3a"
     assert cfg.methods == METHODS
     assert cfg.output_dir == "out"
+
+
+def test_mesh_order_without_intervals_exits_one(tmp_path, capsys):
+    # only a uniform mesh takes an order, so an order alone is an error,
+    # not a silently ignored setting
+    config = _write(tmp_path, "[mesh]\norder = 6\n")
+    for argv in (["solve", "--mesh-order", "6"], ["solve", "--config", config]):
+        rc = main(argv + ["--output", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "mesh.order" in err and "mesh.intervals" in err
+    assert sorted(os.listdir(tmp_path)) == ["config.ini"]
+    # an interval count from the config file completes the flag's order
+    intervals = _write(tmp_path, "[mesh]\nintervals = 4\n", "mesh.ini")
+    for sub, argv in (("a", ["--config", intervals, "--mesh-order", "6"]),
+                      ("b", ["--mesh-intervals", "4", "--mesh-order", "6"])):
+        assert main(["solve", "--beta", "0", "--output", str(tmp_path / sub)]
+                    + argv) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+            == (tmp_path / "b" / "trajectory.csv").read_bytes())
+
+
+def test_flags_override_config_and_preset_pins_weights(tmp_path):
+    config = _write(tmp_path, "[mc]\nq = 0.005\nruns = 7\n")
+    args = build_parser().parse_args(
+        ["campaign", "--config", config, "--preset", "fig3d", "--seed", "3"])
+    cfg = _load(args)
+    # a preset flag pins q and beta over the file's q; other file keys stay
+    assert (cfg.q, cfg.beta) == (0.02, 10.0)
+    assert cfg.runs == 7 and cfg.seed == 3 and cfg.preset == "fig3d"
+    cfg = _load(build_parser().parse_args(
+        ["campaign", "--preset", "fig3d", "--q", "0.03"]))
+    assert (cfg.q, cfg.beta) == (0.03, 10.0)

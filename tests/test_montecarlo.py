@@ -86,6 +86,22 @@ def test_config_rejects_bad_fields():
             MonteCarloConfig(beta=bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: SolverOptions(max_iterations=n),
+    lambda n: GuidanceConfig(method="OG", cycle_count=n),
+    lambda n: MonteCarloConfig(run_count=n),
+    lambda n: MonteCarloConfig(seed=n),
+])
+def test_counts_must_be_integers(make):
+    # a fractional count is rejected when the config is built, not in
+    # the middle of a mission; numpy integers are counts too
+    for bad in (2.5, 3.0, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match="integer"):
+            make(bad)
+    make(np.int64(3))
+    make(np.uint8(2))
+
+
 def test_config_normalizes_methods():
     cfg = MonteCarloConfig(methods=("dog", "oc", "DOG"))
     assert cfg.methods == ("DOG", "OC")

@@ -1,6 +1,7 @@
 """Tests for the collocation transcription layer."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guidedog.lgr import basis
 from guidedog.ocp import OcpDefinition, example_problem
@@ -316,6 +317,18 @@ def test_base_objective_strips_sensitivity_penalty():
     assert full - base == pytest.approx(penalty, rel=1e-9, abs=1e-12)
 
 
+def test_extracted_base_objective_leaves_out_the_penalty():
+    # an augmented solution's base_objective is J of the base problem,
+    # not the NLP objective with the sensitivity penalty
+    ocp, make_spec = example_problem()
+    nlp = transcribe(augment(ocp, make_spec(10.0, 0.02)),
+                     build_mesh(0.0, 50.0, 2, 4))
+    z = np.random.default_rng(23).standard_normal(nlp.n_vars)
+    traj = extract_solution(nlp, z, nlp.objective(z))
+    assert traj.base_objective == base_objective(traj, ocp)
+    assert traj.objective - traj.base_objective > 1e-6
+
+
 def _point_geometry(mesh):
     # per-collocation-point times, interval half-widths, scaled weights,
     # assembled independently of the transcription internals
@@ -555,3 +568,55 @@ def test_difference_helpers_match_row_by_row_stencils():
                            + moved(row, (a, -k[a]), (b, -k[b])))
                     ref = ref / (4.0 * k[a] * k[b])
                 assert second[i, a, b] == ref[1]
+
+
+def _expected_patterns(problem, orders):
+    """Allowed nonzeros of the constraint Jacobian and the Lagrangian
+    Hessian, from the documented layout: states point-major at P support
+    points, then controls at C collocation points; rows are the defects
+    point-major, then the initial and terminal pins."""
+    ocp = getattr(problem, "ocp", problem)
+    na, nu = ocp.n_states, ocp.n_controls
+    C = sum(orders)
+    P = C + 1
+    init = np.flatnonzero(~np.isnan(ocp.initial_state))
+    term = np.flatnonzero(~np.isnan(ocp.terminal_state))
+    n_rows, n_vars = C * na + init.size + term.size, P * na + C * nu
+    jac = np.zeros((n_rows, n_vars), dtype=bool)
+    hess = np.zeros((n_vars, n_vars), dtype=bool)
+    start = 0
+    for nk in orders:
+        for i in range(start, start + nk):
+            for d in range(na):
+                # D template: defect (i, d) reads dimension d of every
+                # support point of its interval
+                jac[i * na + d, [j * na + d
+                                 for j in range(start, start + nk + 1)]] = True
+            own = ([i * na + d for d in range(na)]
+                   + [P * na + i * nu + e for e in range(nu)])
+            jac[np.ix_([i * na + d for d in range(na)], own)] = True
+            hess[np.ix_(own, own)] = True
+        start += nk
+    jac[C * na + np.arange(init.size), init] = True
+    jac[C * na + init.size + np.arange(term.size), (P - 1) * na + term] = True
+    ends = list(range(na)) + [(P - 1) * na + d for d in range(na)]
+    hess[np.ix_(ends, ends)] = True
+    return jac, hess
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       augmented=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_derivative_nonzeros_lie_in_the_per_point_block_pattern(
+        orders, augmented, seed):
+    ocp, make_spec = example_problem()
+    problem = augment(ocp, make_spec(5.0, 0.02)) if augmented else ocp
+    nlp = transcribe(problem, build_mesh(0.0, 50.0, len(orders), orders))
+    jac_pattern, hess_pattern = _expected_patterns(problem, orders)
+    rng = np.random.default_rng(seed)
+    z = 0.5 * rng.standard_normal(nlp.n_vars)
+    J = nlp.jacobian(z)
+    H = nlp.lagrangian_hessian(z, rng.standard_normal(nlp.n_constraints))
+    assert J.shape == jac_pattern.shape and H.shape == hess_pattern.shape
+    assert not np.any(J[~jac_pattern])
+    assert not np.any(H[~hess_pattern])
