@@ -15,7 +15,8 @@ solve: a re-solve's polish of the previous solution, seeded with the
 Lagrangian Hessian estimated there (one or two iterations at the
 nominal parameter); the unseeded plain solve, from that warm start or
 the linear guess; and for desensitized methods the seeded augmented
-solve from the sensitivity staged along the plain solution.
+solve from the plain solution, with S stepped stably along it through
+the true sensitivity dynamics.
 
 Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .ocp import OcpDefinition
 from .sensitivity import augment
-from .simulation import integrate
+from .simulation import check_params, integrate
 from .sqp import SolverOptions, estimate_multipliers, initial_guess, solve
 from .trajectory import Trajectory
 from .transcription import (
@@ -40,7 +41,6 @@ from .transcription import (
     example_mesh,
     extract_solution,
     pack_values,
-    sensitivity_block,
     transcribe,
 )
 
@@ -232,35 +232,17 @@ def _propagated_sensitivity(ocp: OcpDefinition, traj: Trajectory,
 
 
 def _staged_sensitivity_guess(nlp_aug, traj: Trajectory) -> np.ndarray:
-    """Augmented warm start: reference (x, u) plus S propagated along it.
+    """Augmented warm start: the plain solution's node values plus S
+    stepped stably along them (:func:`_propagated_sensitivity`).
 
-    Two sensitivity profiles are computed: one by stable time stepping
-    of the true linear dynamics, and one solving the transcribed
-    collocation conditions exactly (ideal when the mesh resolves S --
-    the seeded solve becomes a one-step Newton polish).  The S defects
-    and S(t0) pins of ``nlp_aug`` are linear in S, so the collocated
-    profile is one linear solve on their block of the NLP's Jacobian.
-    When the two disagree the mesh is too coarse for the collocated
-    profile to mean anything, and the stable one makes the far better
-    seed.  ``traj`` must lie on ``nlp_aug``'s mesh.
+    ``traj`` must lie on ``nlp_aug``'s mesh.
     """
     aug = nlp_aug.source
-    s_stable = _propagated_sensitivity(aug.base, traj, aug.s0)
-    s_rows = s_stable.transpose(0, 2, 1).reshape(-1, aug.n_x * aug.n_param)
+    s = _propagated_sensitivity(aug.base, traj, aug.s0)
+    s_rows = s.transpose(0, 2, 1).reshape(-1, aug.n_x * aug.n_param)
     sup, col = nlp_aug.mesh.node_times()
     states = np.hstack([traj.full_state_at(sup), s_rows])
-    z = pack_values(nlp_aug.layout, states, traj.control_at(col))
-    rows, cols = sensitivity_block(nlp_aug)
-    try:
-        step = np.linalg.solve(nlp_aug.jacobian(z)[np.ix_(rows, cols)],
-                               nlp_aug.constraints(z)[rows])
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"sensitivity staging failed: {exc}") from exc
-    # the step is the collocated profile's gap to the stable one
-    scale = 1.0 + float(np.max(np.abs(s_stable)))
-    if float(np.max(np.abs(step))) <= 0.1 * scale:
-        z[cols] -= step
-    return z
+    return pack_values(nlp_aug.layout, states, traj.control_at(col))
 
 
 # Converging polishes are quick (at most 3 iterations over 1,928 in 10-draw
@@ -403,9 +385,10 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     state is handed off exactly, the expired horizon is deleted, and
     the problem is re-solved on the remainder (not after a cycle that
     ends at tf); any horizon left after the last cycle is flown open
-    loop on the final solution.  A schedule past the horizon raises
-    ValueError (:func:`check_schedule`) before any solve; solver or
-    integrator failures are recorded on the result, never raised.
+    loop on the final solution.  A schedule past the horizon
+    (:func:`check_schedule`) or a malformed or non-finite ``p_tilde``
+    raises ValueError before any solve; solver or integrator failures
+    are recorded on the result, never raised.
     Plain methods ignore ``spec``.
 
     ``reference`` may carry a precomputed ``(trajectory, solution)``
@@ -417,6 +400,7 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     stay the mission's own.
     """
     check_schedule(cfg, ocp.time_domain)
+    check_params(ocp, p_tilde)
     cfg = _with_mesh(cfg, ocp)
     t0, tf = ocp.time_domain
     trajectories, statuses, iterations = [], [], []

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from .ocp import OcpDefinition
 from .trajectory import Trajectory
 
-__all__ = ["SimResult", "integrate"]
+__all__ = ["SimResult", "check_params", "integrate"]
 
 
 @dataclass
@@ -56,6 +56,20 @@ class SimResult:
         return self.states[-1]
 
 
+def check_params(ocp: OcpDefinition, p_tilde=None) -> np.ndarray:
+    """The parameters a flight uses: ``p_tilde``, or the nominal ones
+    when None.  A wrong shape or a non-finite value raises ValueError."""
+    params = np.asarray(
+        ocp.nominal_params if p_tilde is None else p_tilde, dtype=float)
+    if params.shape != (ocp.n_params,):
+        raise ValueError(
+            f"p_tilde has shape {params.shape}, expected ({ocp.n_params},)"
+        )
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"p_tilde must be finite, got {params}")
+    return params
+
+
 def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
               abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> SimResult:
     """Propagate ``xdot = f(x, u(t), p_tilde, t)`` over span.
@@ -79,14 +93,7 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
             f"span [{t_start}, {t_end}] outside trajectory domain "
             f"[{traj.t0}, {traj.tf}]"
         )
-    params = np.asarray(
-        ocp.nominal_params if p_tilde is None else p_tilde, dtype=float)
-    if params.shape != (ocp.n_params,):
-        raise ValueError(
-            f"p_tilde has shape {params.shape}, expected ({ocp.n_params},)"
-        )
-    if not np.all(np.isfinite(params)):
-        raise ValueError(f"p_tilde must be finite, got {params}")
+    params = check_params(ocp, p_tilde)
 
     def rhs(t, x, control):
         return np.atleast_1d(np.asarray(

@@ -16,6 +16,7 @@ constraint rows, so every row of the NLP is an equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "transcribe",
     "extract_solution",
     "pack_values",
-    "sensitivity_block",
     "base_objective",
 ]
 
@@ -60,15 +60,18 @@ class Mesh:
             raise ValueError("boundary count must be interval count + 1")
         if abs(tb[0] + 1.0) > 1e-12 or abs(tb[-1] - 1.0) > 1e-12:
             raise ValueError("mesh fractions must span [-1, +1]")
-        if np.any(np.diff(tb) <= 0.0):
-            raise ValueError("mesh fractions must be strictly increasing")
+        if not (np.all(np.isfinite(tb)) and np.all(np.diff(tb) > 0.0)):
+            raise ValueError("mesh fractions must be finite and strictly "
+                             "increasing")
         tb = tb.copy()
         tb[0], tb[-1] = -1.0, 1.0
         object.__setattr__(self, "tau_boundaries", tb)
-        if not self.t0 < self.tf:
-            raise ValueError(f"mesh needs t0 < tf, got ({self.t0}, {self.tf})")
-        if any(int(nk) < 1 for nk in self.orders):
-            raise ValueError("collocation counts must be >= 1")
+        if not (np.isfinite(self.t0) and np.isfinite(self.tf)
+                and self.t0 < self.tf):
+            raise ValueError(
+                f"mesh needs finite t0 < tf, got ({self.t0}, {self.tf})")
+        if any(not isinstance(nk, Integral) or nk < 1 for nk in self.orders):
+            raise ValueError("collocation counts must be integers >= 1")
         object.__setattr__(self, "orders", tuple(int(nk) for nk in self.orders))
 
     @property
@@ -98,14 +101,16 @@ def build_mesh(t0: float, tf: float, n_intervals: int, order,
 
     ``order`` is a single collocation count or one per interval;
     ``fractions``, if provided, are the K + 1 interval boundaries in
-    tau-space.
+    tau-space.  Counts must be integers (numpy integers included) and
+    bounds and fractions finite, else ValueError.
     """
-    if n_intervals < 1:
-        raise ValueError(f"need at least one mesh interval, got {n_intervals}")
+    if not isinstance(n_intervals, Integral) or n_intervals < 1:
+        raise ValueError(
+            f"need an integer count of mesh intervals >= 1, got {n_intervals}")
     if np.isscalar(order):
-        orders = (int(order),) * n_intervals
+        orders = (order,) * n_intervals
     else:
-        orders = tuple(int(nk) for nk in order)
+        orders = tuple(order)
         if len(orders) != n_intervals:
             raise ValueError(
                 f"got {len(orders)} orders for {n_intervals} intervals"
@@ -156,24 +161,6 @@ class Layout:
         X = z[: P * na].reshape(P, na)
         U = z[P * na: P * na + self.n_colloc * nu].reshape(self.n_colloc, nu)
         return X, U
-
-
-def sensitivity_block(nlp: NlpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the sensitivity states of an augmented NLP.
-
-    The rows are the S defects at every collocation point followed by
-    the S(t0) pins; the columns hold S at every support point.  The
-    block is square, and those rows are linear in those columns.
-    """
-    layout, aug = nlp.layout, nlp.source
-    dims = np.arange(aug.n_x, layout.n_aug)
-    cols = (np.arange(layout.n_state_points)[:, None] * layout.n_aug
-            + dims).ravel()
-    defects = (np.arange(layout.n_colloc)[:, None] * layout.n_aug
-               + dims).ravel()
-    init_idx = _pin_indices(aug.ocp.initial_state)[0]
-    pins = layout.n_colloc * layout.n_aug + np.searchsorted(init_idx, dims)
-    return np.concatenate([defects, pins]), cols
 
 
 def pack_values(layout: Layout, states: np.ndarray,

@@ -13,7 +13,7 @@ from guidedog.guidance import (
     run_mission,
     solve_reference,
 )
-from guidedog.montecarlo import study_mesh
+from guidedog.montecarlo import PRESETS, study_mesh
 from guidedog.ocp import example_problem
 from guidedog.sensitivity import AugmentedOcp, augment
 from guidedog.simulation import integrate
@@ -390,6 +390,23 @@ def test_desensitized_reference_without_spec_fails_before_any_solve(
     assert calls == []
 
 
+@pytest.mark.parametrize("p_tilde", [[np.nan], [np.inf], [2.0, 2.0]],
+                         ids=["nan", "inf", "shape"])
+def test_bad_p_tilde_fails_before_any_solve(problem, monkeypatch, p_tilde):
+    ocp, spec = problem
+    calls = []
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return sqp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(guidance, "solve", counted_solve)
+    with pytest.raises(ValueError, match="p_tilde"):
+        run_mission(ocp, spec, GuidanceConfig(method="DOG"),
+                    p_tilde=np.array(p_tilde))
+    assert calls == []
+
+
 def test_schedule_rule_applies_only_to_guided_methods():
     for method in ("OG", "DOG"):
         with pytest.raises(ValueError, match="13 cycles x 4.0 s exceed "
@@ -439,31 +456,29 @@ def _staged_guess(problem, mesh, s0):
     return traj, plain.layout.split(sol.z), nlp_aug, z
 
 
-def test_staged_guess_collocates_sensitivity_on_default_mesh(problem):
-    # on the default mesh the 0.1-gap rule keeps the collocated profile:
-    # the guess satisfies the augmented NLP's S defects and S(t0) pin,
-    # and its x and u are the plain solution's node values
-    s0 = np.array([[0.3]])
-    traj, (X, U), nlp_aug, z = _staged_guess(problem, example_mesh(), s0)
-    Xa, Ua = nlp_aug.layout.split(z)
-    assert np.array_equal(Xa[:, :1], X)
-    assert np.array_equal(Ua, U)
-    # example layout: [x, S] per point, so S defects are the odd defect
-    # rows; the initial pins are x(t0) then S(t0)
-    C = nlp_aug.layout.n_colloc
-    c = nlp_aug.constraints(z)
-    s_rows = np.append(c[1:2 * C:2], c[2 * C + 1])
-    assert np.max(np.abs(s_rows)) <= 1e-9 * (1.0 + np.max(np.abs(Xa[:, 1])))
-
-
-def test_staged_guess_propagates_sensitivity_on_study_mesh(problem):
-    # on the study mesh the collocated profile is ~11x the scale off the
-    # true sensitivity, so the guess carries the stably stepped one
-    traj, (X, U), nlp_aug, z = _staged_guess(problem, study_mesh(),
-                                             np.zeros((1, 1)))
+@pytest.mark.parametrize("mesh", [example_mesh(), study_mesh()],
+                         ids=["default", "study"])
+def test_staged_guess_propagates_sensitivity(problem, mesh):
+    # on a mesh that resolves S (default) and on one that does not
+    # (study) the guess is the plain solution's node values plus the
+    # stably stepped sensitivity
+    traj, (X, U), nlp_aug, z = _staged_guess(problem, mesh, np.zeros((1, 1)))
     Xa, Ua = nlp_aug.layout.split(z)
     assert np.array_equal(Xa[:, :1], X)
     assert np.array_equal(Ua, U)
     stable = guidance._propagated_sensitivity(problem[0], traj,
                                               np.zeros((1, 1)))
     assert np.array_equal(Xa[:, 1], stable[:, 0, 0])
+
+
+def test_study_mesh_dog_first_resolve_stages_from_the_stepped_profile():
+    # fig4's weights at its alpha_tilde: the staged solve from the
+    # stepped sensitivity settles the first re-solve in 43 iterations
+    # over the chain; staging from the collocated profile took 93
+    ocp, make_spec = example_problem()
+    q, beta = PRESETS["fig4"]
+    spec = make_spec(beta=beta, q=q)
+    cfg = GuidanceConfig(method="DOG", mesh=study_mesh(), cycle_count=1)
+    mission = run_mission(ocp, spec, cfg, p_tilde=np.array([2.0178]))
+    assert not mission.failed, mission.message
+    assert mission.iterations[1] <= 45

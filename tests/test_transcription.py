@@ -61,6 +61,21 @@ def test_mesh_validation_errors():
         build_mesh(0.0, 50.0, 2, (4, 4, 4))
     with pytest.raises(ValueError):
         build_mesh(0.0, 50.0, 2, 0)
+    # non-integral counts are rejected, not truncated
+    for n_intervals, order in ((2, 4.5), (2, [4, 3.9]), (2.0, 4), (2, 4.0)):
+        with pytest.raises(ValueError):
+            build_mesh(0.0, 50.0, n_intervals, order)
+    with pytest.raises(ValueError):
+        Mesh(0.0, 50.0, np.array([-1.0, 0.0, 1.0]), (4, 3.5))
+    with pytest.raises(ValueError):
+        build_mesh(0.0, 50.0, 2, 4, fractions=[-1.0, np.nan, 1.0])
+    for t0, tf in ((0.0, np.inf), (-np.inf, 50.0), (0.0, np.nan)):
+        with pytest.raises(ValueError):
+            build_mesh(t0, tf, 2, 4)
+    # numpy integers are integers
+    mesh = build_mesh(0.0, 50.0, np.int64(2), [np.int32(4), np.int64(3)])
+    assert mesh.orders == (4, 3)
+    assert all(type(nk) is int for nk in mesh.orders)
 
 
 def test_with_time_domain_keeps_fractions():
