@@ -1,7 +1,16 @@
 """Plant propagation under the interpolated reference control."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+import guidedog
+from guidedog import simulation
 from guidedog.lgr import basis
 from guidedog.ocp import OcpDefinition, example_problem
 from guidedog.sensitivity import augment
@@ -157,12 +166,59 @@ def test_integrate_rejects_non_finite_span_and_parameters():
 
 
 def test_integrate_rejects_bad_tolerances():
-    ocp = _plant(lambda x, u, p, t: -x)
+    # NaN tolerances used to hang the stepper, and infinite ones to
+    # return an unchecked state; each is refused before any step
+    calls = []
+
+    def dyn(x, u, p, t):
+        calls.append(t)
+        return -x
+
+    ocp = _plant(dyn)
     traj = _trajectory(ocp, build_mesh(0.0, 1.0, 1, 3))
-    with pytest.raises(ValueError):
-        integrate(ocp, traj, np.array([1.0]), (0.0, 1.0), abs_tol=0.0)
-    with pytest.raises(ValueError):
-        integrate(ocp, traj, np.array([1.0]), (0.0, 1.0), rel_tol=-1e-9)
+    for bad in (0.0, -1e-9, float("nan"), float("inf"), -float("inf")):
+        for tols in ({"abs_tol": bad}, {"rel_tol": bad}):
+            with pytest.raises(ValueError, match="tolerances"):
+                integrate(ocp, traj, np.array([1.0]), (0.0, 1.0), **tols)
+    assert calls == []
+
+
+def test_integrate_rejects_misshaped_or_non_finite_x0():
+    calls = []
+
+    def dyn(x, u, p, t):
+        calls.append(t)
+        return -x
+
+    ocp = _plant(dyn)
+    traj = _trajectory(ocp, build_mesh(0.0, 1.0, 1, 3))
+    for x0 in (np.array([1.0, 2.0]), np.zeros((1, 1)), np.array([])):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(ocp, traj, x0, (0.0, 1.0))
+    for x0 in (np.array([float("nan")]), np.array([float("inf")])):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(ocp, traj, x0, (0.0, 1.0))
+    assert calls == []
+    assert integrate(ocp, traj, 1.0, (0.0, 1.0)).terminal_state.shape == (1,)
+
+
+def test_non_finite_derivative_raises_instead_of_looping():
+    # a NaN derivative at the start makes the first step NaN
+    ocp = _plant(lambda x, u, p, t: np.array([float("nan")]))
+    traj = _trajectory(ocp, build_mesh(0.0, 1.0, 2, 3))
+    for span in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(RuntimeError, match="integration failed on"):
+            integrate(ocp, traj, np.array([1.0]), span)
+
+
+def test_overflowing_state_raises_instead_of_being_accepted():
+    # the derivative stays finite while the state overflows: the error
+    # estimate, scaled by the infinite state, reads zero and the step
+    # would be accepted
+    ocp = _plant(lambda x, u, p, t: np.array([1e307]), tf=10.0)
+    traj = _trajectory(ocp, build_mesh(0.0, 10.0, 1, 3))
+    with pytest.raises(RuntimeError, match=r"state \[inf\] .* not finite"):
+        integrate(ocp, traj, np.array([1e308]), (0.0, 10.0))
 
 
 def test_finite_time_blowup_raises_runtime_error():
@@ -260,3 +316,107 @@ def test_truth_plant_flies_interval_values_bitwise():
             for t, u in seen:
                 want = traj.interval_values(k, t, control=True)
                 assert u.tobytes() == want.tobytes()
+
+
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    ref = dop853_coefficients
+    n = ref.N_STAGES
+    for ours, theirs in ((simulation._A, ref.A[:n, :n]),
+                         (simulation._C, ref.C[:n]),
+                         (simulation._B, ref.B),
+                         (simulation._E5, ref.E5),
+                         (simulation._E3, ref.E3)):
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, 0.0), (0.5, 2.25)])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_fresh_segment_matches_solve_ivp(span, tol):
+    # one mesh interval is one segment, started from scratch: the same
+    # steps and states as scipy's DOP853 at the same tolerances
+    def dyn(x, u, p, t):
+        return np.array([-p[0] * x[0] + np.sin(x[1]) * u[0],
+                         x[0] * x[1] - 0.3 * u[0] ** 2])
+
+    ocp = OcpDefinition(
+        n_states=2, n_controls=1, n_params=1, dynamics=dyn,
+        jac_x=None, jac_p=None, running_cost=None, terminal_cost=None,
+        nominal_params=np.array([0.7]), time_domain=(0.0, 3.0))
+    traj = _trajectory(ocp, build_mesh(0.0, 3.0, 1, 5),
+                       np.array([[0.4], [-1.0], [0.3], [1.2], [0.8]]))
+    control = traj.interval_control(0)
+    x0 = np.array([1.0, -0.5])
+    sim = integrate(ocp, traj, x0, span, abs_tol=tol, rel_tol=tol)
+    ref = solve_ivp(lambda t, x: dyn(x, control(t), ocp.nominal_params, t),
+                    span, x0, method="DOP853", rtol=tol, atol=tol)
+    assert ref.success
+    assert sim.times.shape == ref.t.shape
+    np.testing.assert_allclose(sim.times, ref.t, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sim.states, ref.y.T, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def flights(draw):
+    k = draw(st.integers(1, 6))
+    orders = tuple(draw(st.lists(st.integers(1, 6), min_size=k, max_size=k)))
+    tf = draw(st.floats(0.5, 20.0))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k,
+                                  max_size=k)))
+    fractions = np.concatenate(([0.0], np.cumsum(gaps))) / gaps.sum()
+    fractions = 2.0 * fractions - 1.0
+    fractions[-1] = 1.0
+    mesh = build_mesh(0.0, tf, k, orders, fractions)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return mesh, np.random.default_rng(seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flights())
+def test_flights_across_every_cut_match_closed_form(flight):
+    # xdot = u(t) on a random piecewise polynomial and xdot = -k x, each
+    # flown over the whole horizon (so across every interval cut) in
+    # both directions
+    mesh, rng = flight
+    bounds = mesh.interval_times()
+    polys = [np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, nk),
+                                      domain=bounds[i:i + 2])
+             for i, nk in enumerate(mesh.orders)]
+    nodes = np.split(_collocation_times(mesh), np.cumsum(mesh.orders)[:-1])
+    controls = np.concatenate([p(t) for p, t in zip(polys, nodes)])[:, None]
+    span = (mesh.t0, mesh.tf)
+
+    ocp = _plant(lambda x, u, p, t: np.array([u[0]]), tf=mesh.tf)
+    traj = _trajectory(ocp, mesh, controls)
+    x0 = rng.uniform(-1.0, 1.0)
+    exact = x0 + sum(p.integ()(b) - p.integ()(a)
+                     for p, a, b in zip(polys, bounds[:-1], bounds[1:]))
+    fwd = integrate(ocp, traj, np.array([x0]), span)
+    back = integrate(ocp, traj, np.array([exact]), span[::-1])
+    assert abs(fwd.terminal_state[0] - exact) <= 1e-8
+    assert abs(back.terminal_state[0] - x0) <= 1e-8
+
+    # at most e^2 of decay, so that flying back amplifies the step
+    # errors by no more than e^2
+    rate = rng.uniform(0.05, 2.0) / (mesh.tf - mesh.t0)
+    ocp = _plant(lambda x, u, p, t: -p[0] * x, tf=mesh.tf)
+    traj = _trajectory(ocp, mesh, controls)
+    decayed = x0 * np.exp(-rate * (mesh.tf - mesh.t0))
+    fwd = integrate(ocp, traj, np.array([x0]), span, p_tilde=[rate])
+    back = integrate(ocp, traj, np.array([decayed]), span[::-1],
+                     p_tilde=[rate])
+    assert abs(fwd.terminal_state[0] - decayed) <= 1e-8
+    assert abs(back.terminal_state[0] - x0) <= 1e-8
+
+
+def test_guidance_modules_do_not_import_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(guidedog.__file__)))
+    code = ("import sys\n"
+            "import guidedog.guidance, guidedog.montecarlo, "
+            "guidedog.reporting, guidedog.cli\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate')))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
