@@ -13,7 +13,9 @@ call evaluates it in float arithmetic, bit-identical to
 The integrator is DOP853 (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, §II.4 and §II.10) with the coefficients and
 step-size rule that ``scipy.integrate.solve_ivp(method="DOP853")``
-uses, so a segment takes the same steps as that call.
+uses, so a flight's first segment takes the same steps as that call.
+Each later segment starts from the step size the controller proposed
+at the end of the one before, instead of selecting a first step anew.
 """
 from __future__ import annotations
 
@@ -33,30 +35,28 @@ _C = np.array([
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
 _A = np.array([row + (0.0,) * (12 - len(row)) for row in (
-        (),
-        (0.05260015195876773,),
-        (0.0197250569845379, 0.0591751709536137),
-        (0.02958758547680685, 0.0, 0.08876275643042054),
-        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
-        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
-         0.12546768756682242),
-        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-         -0.017578125),
-        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
-         0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
-        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414,
-         -0.868219346841726, 27.59209969944671, 20.154067550477894,
-         -43.48988418106996),
-        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
-         -0.590290826836843, 21.230051448181193, 15.279233632882423,
-         -33.28821096898486, -0.020331201708508627),
-        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064,
-         1.0914373489967295, -8.149787010746927, -18.52006565999696,
-         22.739487099350505, 2.4936055526796523, -3.0467644718982196),
-        (2.273310147516538, 0.0, 0.0, -10.53449546673725,
-         -2.0008720582248625, -17.9589318631188, 27.94888452941996,
-         -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-         0.6433927460157636))])
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636))])
 _B = np.array([
     0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
@@ -163,6 +163,7 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
 
     times = [t_start]
     states = [x]
+    h_abs = None   # only the first segment selects its first step
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a == b:
             continue
@@ -172,7 +173,8 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
             return np.atleast_1d(np.asarray(
                 ocp.dynamics(x, control(t), params, t), dtype=float))
 
-        _dop853(rhs, float(a), x, float(b), rtol, abs_tol, times, states)
+        h_abs = _dop853(rhs, float(a), x, float(b), rtol, abs_tol, h_abs,
+                        times, states)
         x = states[-1]
 
     t_grid = np.array(times)
@@ -203,17 +205,20 @@ def _initial_step(fun, t, y, f, t_end, direction, rtol, atol):
     return min(100 * h0, h1, length)
 
 
-def _dop853(fun, t, y, t_end, rtol, atol, times, states):
+def _dop853(fun, t, y, t_end, rtol, atol, h_abs, times, states):
     """Fly ``y' = fun(t, y)`` from ``(t, y)`` to ``t_end`` by DOP853,
     appending each accepted step's time and state to ``times`` and
-    ``states``.  The step rule is scipy's: safety 0.9, step factor in
-    [0.2, 10], exponent -1/8, no step below 10 ulp of t.  A step or
-    state that is not finite, or a step below 10 ulp, raises
-    RuntimeError."""
+    ``states``, and return the step size the controller proposes next.
+
+    The first step is ``h_abs``, or scipy's choice when it is None.
+    The step rule is scipy's: safety 0.9, step factor in [0.2, 10],
+    exponent -1/8, no step below 10 ulp of t.  A step or state that
+    is not finite, or a step below 10 ulp, raises RuntimeError."""
     t0 = t
     direction = 1.0 if t_end > t else -1.0
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_end, direction, rtol, atol)
+    if h_abs is None:
+        h_abs = _initial_step(fun, t, y, f, t_end, direction, rtol, atol)
     K = np.empty((13, y.size))
     while direction * (t - t_end) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -238,17 +243,13 @@ def _dop853(fun, t, y, t_end, rtol, atol, times, states):
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
-            if err5 == 0 and err3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5 / np.sqrt(
-                    (err5 + 0.01 * err3) * scale.size)
+            denom = (err5 + 0.01 * err3) * scale.size
+            error_norm = h_abs * err5 / np.sqrt(denom) if denom else 0.0
+            factor = 10 if error_norm == 0 else 0.9 * error_norm ** -0.125
             if error_norm < 1:
-                factor = (10 if error_norm == 0
-                          else min(10, 0.9 * error_norm ** -0.125))
-                h_abs *= min(1, factor) if rejected else factor
+                h_abs *= min(1 if rejected else 10, factor)
                 break
-            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            h_abs *= max(0.2, factor)
             rejected = True
         if not np.all(np.isfinite(y_new)):
             raise RuntimeError(
@@ -257,3 +258,4 @@ def _dop853(fun, t, y, t_end, rtol, atol, times, states):
         t, y, f = t_new, y_new, f_new
         times.append(t)
         states.append(y)
+    return h_abs
