@@ -37,12 +37,12 @@ class OcpDefinition:
 
     Callbacks must be pure.  ``dynamics(x, u, p, t)`` returns the state
     derivative; ``jac_x`` and ``jac_p`` return A = df/dx (n x n) and
-    B = df/dp (n x m); ``running_cost(x, u, t)`` returns the integrand.
-    Each accepts either a single point, x of shape (n,), or a stacked
-    batch of P points, x of shape (P, n) with u (P, n_u) and t (P,),
-    returning one result per row: transcription always calls them with
-    batches, the truth simulation with single points.
-    ``terminal_cost(x0, t0, xf, tf)`` takes the two endpoint states.
+    B = df/dp (n x m); ``running_cost(x, u, t)`` returns the integrand
+    and ``terminal_cost(x0, t0, xf, tf)`` the Mayer term.  Each takes a
+    single point, x of shape (n,), or a stacked batch of P points, x of
+    shape (P, n) with u (P, n_u) and t (P,) (both endpoints (P, n) for
+    ``terminal_cost``), one result per row: transcription passes batches,
+    a derivative stencil's in one call, the truth simulation single points.
     ``initial_state`` / ``terminal_state`` pin state components at the
     endpoints (NaN entries are free); the pins and the collocation
     defects are the problem's only constraints, all equalities.
@@ -100,8 +100,8 @@ class DesensitizationSpec:
     """Weights of the terminal sensitivity penalty tr(W . G S P S' G').
 
     ``penalty_jacobian`` is G = dh/dx (r x n) for the penalty function
-    h(x), evaluated at the final state; ``terminal_weight`` is the
-    r x r weight W, and ``param_covariance`` the m x m parameter
+    h(x), a single-point callback of the final state; ``terminal_weight``
+    is the r x r weight W, and ``param_covariance`` the m x m parameter
     covariance P.
     """
 

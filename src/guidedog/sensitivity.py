@@ -45,14 +45,16 @@ def _vec_batch(s: np.ndarray) -> np.ndarray:
     return s.transpose(0, 2, 1).reshape(s.shape[0], -1)
 
 
-def penalty_value(S, G, W, P) -> float:
-    """Trace penalty tr(W . (G S) P (G S)') — always >= 0 for PSD W, P."""
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+def penalty_value(S, G, W, P):
+    """Trace penalty tr(W . (G S) P (G S)') — always >= 0 for PSD W, P.
+
+    A (B, n, m) stack of S, with one G or a (B, r, n) stack, gives (B,).
+    """
+    S, G, W, P = [np.atleast_2d(np.asarray(a, dtype=float))
+                  for a in (S, G, W, P)]
     gs = G @ S
-    return float(np.trace(W @ gs @ P @ gs.T))
+    value = (W @ gs @ P @ gs.swapaxes(-1, -2)).trace(axis1=-2, axis2=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,24 @@ class _AugmentedTerminalCost:
     spec: DesensitizationSpec
 
     def __call__(self, xa0, t0, xaf, tf):
+        # one pair of endpoint states or stacked rows; G, a single-point
+        # callback, once per distinct x(tf), which a stencil moves rarely
         n, m = self.base.n_states, self.base.n_params
-        xf = xaf[:n]
+        xa0, xaf = np.asarray(xa0, dtype=float), np.asarray(xaf, dtype=float)
+        if xaf.ndim == 1:
+            Sf = unvec_sensitivity(xaf[n:], n, m)
+            G = self.spec.penalty_jacobian(xaf[:n])
+        else:
+            Sf, slot, G, pick = _unvec_batch(xaf[:, n:], n, m), {}, [], []
+            for x in xaf[:, :n]:
+                pick.append(slot.setdefault(x.tobytes(), len(G)))
+                if pick[-1] == len(G):
+                    G.append(self.spec.penalty_jacobian(x))
+            G = np.array(G, dtype=float).reshape(len(G), -1, n)[pick]
         out = 0.0
         if self.base.terminal_cost is not None:
-            out = float(self.base.terminal_cost(xa0[:n], t0, xf, tf))
-        Sf = unvec_sensitivity(xaf[n:], n, m)
-        return out + penalty_value(Sf, self.spec.penalty_jacobian(xf),
-                                   self.spec.terminal_weight,
+            out = self.base.terminal_cost(xa0[..., :n], t0, xaf[..., :n], tf)
+        return out + penalty_value(Sf, G, self.spec.terminal_weight,
                                    self.spec.param_covariance)
 
 

@@ -220,48 +220,54 @@ def _central_differences(fun, V: np.ndarray, rel_step: float,
                          out: np.ndarray, first: int = 0) -> np.ndarray:
     """Central differences of a batched function along columns of V.
 
-    ``fun`` maps a (B, n) batch to one value (B,) or one row (B, r) per
-    batch row.  Each column d >= ``first`` is moved by
-    rel_step * (1 + |V[:, d]|) both ways, and the difference quotient is
-    written to ``out[..., d]``, which is returned.
+    ``fun`` maps a (B', n) batch to one value (B',) or one row (B', r)
+    per row.  Each column d >= ``first`` is moved by rel_step *
+    (1 + |V[:, d]|) both ways, every moved copy of V in one stacked call,
+    and the quotient goes to ``out[..., d]``; ``out`` is returned.
     """
-    for d in range(first, V.shape[1]):
-        h = rel_step * (1.0 + np.abs(V[:, d]))
-        hi, lo = V.copy(), V.copy()
-        hi[:, d] += h
-        lo[:, d] -= h
-        delta = fun(hi) - fun(lo)
-        out[..., d] = delta / (2.0 * h).reshape(h.shape + (1,) * (delta.ndim - 1))
+    n = V.shape[1]
+    if first >= n:
+        return out
+    step = rel_step * (1.0 + np.abs(V))
+    moved = np.empty((2, n - first) + V.shape)
+    moved[...] = V
+    for k, d in enumerate(range(first, n)):
+        moved[0, k, :, d] += step[:, d]
+        moved[1, k, :, d] -= step[:, d]
+    vals = np.asarray(fun(moved.reshape(-1, n)))
+    vals = vals.reshape((2, n - first) + V.shape[:1] + vals.shape[1:])
+    delta = vals[0] - vals[1]
+    h = 2.0 * step[:, first:].T
+    quotient = delta / h.reshape(h.shape + (1,) * (delta.ndim - 2))
+    out[..., first:] = quotient.transpose(*range(1, delta.ndim), 0)
     return out
 
 
 def _second_differences(fun, V0: np.ndarray, rel_step: float) -> np.ndarray:
     """4-point second-difference Hessian blocks of a batched scalar function.
 
-    ``fun`` maps a (B, n) batch to one value per row; the result is the
+    ``fun`` maps a (B', n) batch to one value per row; the result is the
     (B, n, n) stack of its Hessians at the rows of V0, column d moved by
-    rel_step * (1 + |V0[:, d]|).
+    rel_step * (1 + |V0[:, d]|).  The centre, the 2n single moves and
+    the 4 moves of each column pair go to ``fun`` as one stacked batch.
     """
+    B, n = V0.shape
     step = rel_step * (1.0 + np.abs(V0))
-
-    def shifted(*moves):
-        V = V0.copy()
-        for d, sign in moves:
-            V[:, d] += sign * step[:, d]
-        return fun(V)
-
-    n = V0.shape[1]
-    centre = fun(V0)
-    blocks = np.empty((V0.shape[0], n, n))
-    for a in range(n):
-        blocks[:, a, a] = (shifted((a, +1)) - 2.0 * centre
-                           + shifted((a, -1))) / step[:, a] ** 2
-        for b in range(a + 1, n):
-            cross = (shifted((a, +1), (b, +1)) - shifted((a, +1), (b, -1))
-                     - shifted((a, -1), (b, +1)) + shifted((a, -1), (b, -1)))
-            cross /= 4.0 * step[:, a] * step[:, b]
-            blocks[:, a, b] = cross
-            blocks[:, b, a] = cross
+    eye = np.eye(n)
+    a, b = np.triu_indices(n, 1)
+    signs = np.concatenate([np.zeros((1, n)), eye, -eye,
+                            eye[a] + eye[b], eye[a] - eye[b],
+                            -eye[a] + eye[b], -eye[a] - eye[b]])
+    vals = np.asarray(fun((V0 + signs[:, None, :] * step).reshape(-1, n)))
+    vals = vals.reshape(signs.shape[0], B)
+    centre, plus, minus = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
+    pp, pm, mp, mm = vals[2 * n + 1:].reshape(4, a.size, B)
+    blocks = np.empty((B, n, n))
+    blocks[:, np.arange(n), np.arange(n)] = (
+        (plus - 2.0 * centre + minus) / step.T ** 2).T
+    cross = ((pp - pm - mp + mm) / (4.0 * step.T[a] * step.T[b])).T
+    blocks[:, a, b] = cross
+    blocks[:, b, a] = cross
     return blocks
 
 
@@ -279,7 +285,8 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     The mesh must match the problem's (fixed) time domain.  Rows are
     the collocation defects, then the initial and terminal pins, all
     equalities with zero right-hand side.  Every callback is evaluated
-    on the stacked batch of collocation points.
+    on the stacked batch of collocation points, and a derivative hook's
+    whole difference stencil in one stacked call.
 
     The derivative hooks share one per-point block map: collocation
     point i owns the defect rows ``point_rows[i]`` and the columns
@@ -349,6 +356,11 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         X, U = layout.split(z)
         return np.hstack([X[:-1], U])
 
+    def stacked(evaluate):
+        # M stacked copies of the C point rows; times repeat per copy
+        return lambda W: evaluate(W[:, :na], W[:, na:],
+                                  np.concatenate((times,) * (W.shape[0] // C)))
+
     def constraints(z: np.ndarray) -> np.ndarray:
         X, U = layout.split(z)
         F = eval_rates(X[:-1], U, times)
@@ -364,19 +376,19 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         return value
 
     def endpoint_cost(V):
-        # the Mayer term on a batch of one [x(t0), x(tf)] row
-        return np.array([float(ocp.terminal_cost(V[0, :na], t0, V[0, na:], tf))])
+        # the Mayer term on a batch of [x(t0), x(tf)] rows
+        return np.asarray(ocp.terminal_cost(V[:, :na], t0, V[:, na:], tf),
+                          dtype=float).reshape(-1)
 
     def gradient(z: np.ndarray) -> np.ndarray:
         # Quadrature costs are separable across collocation points, so
         # the gradient needs one central difference per state/control
-        # dimension, evaluated for all points at once.
+        # dimension, all of them evaluated for all points in one call.
         g = np.zeros(layout.n_vars)
         if ocp.running_cost is not None:
             V = point_batch(z)
             g[point_vars] += w_scaled[:, None] * _central_differences(
-                lambda W: eval_running(W[:, :na], W[:, na:], times), V, 1e-6,
-                np.empty_like(V))
+                stacked(eval_running), V, 1e-6, np.empty_like(V))
         if ocp.terminal_cost is not None:
             ends = z[end_vars][None, :]
             g[end_vars] += _central_differences(endpoint_cost, ends, 1e-6,
@@ -392,19 +404,19 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         error near 1e-8), not an analytic Hessian.  Quadrature cost and
         collocated dynamics are separable across collocation points, so
         the Hessian is a sum of per-point (na + nu) blocks plus one
-        endpoint block for the Mayer term; each stencil evaluation is
-        vectorized over every point at once.  The differencing part of
-        the defects and the pins are linear and drop out.
+        endpoint block for the Mayer term; each stencil, every shift of
+        every point, is one stacked callback call.  The differencing
+        part of the defects and the pins are linear and drop out.
         """
         lam_defect = np.asarray(multipliers, dtype=float)[: C * na].reshape(C, na)
 
-        def point_scalar(V):
-            Xc, Uc = V[:, :na], V[:, na:]
+        def point_scalar(W):
+            # the per-point weights broadcast over the M stacked shifts
             val = -np.sum(h_point[:, None] * lam_defect
-                          * eval_rates(Xc, Uc, times), axis=1)
+                          * stacked(eval_rates)(W).reshape(-1, C, na), axis=2)
             if ocp.running_cost is not None:
-                val = val + w_scaled * eval_running(Xc, Uc, times)
-            return val
+                val = val + w_scaled * stacked(eval_running)(W).reshape(-1, C)
+            return val.ravel()
 
         hess = np.zeros((layout.n_vars, layout.n_vars))
         hess[point_vars[:, :, None], point_vars[:, None, :]] += \
@@ -438,8 +450,7 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
                 ocp.jac_x(V[:, :na], V[:, na:], p_nom, times), dtype=float
             ).reshape(C, na, na)
             first = na
-        _central_differences(lambda W: eval_rates(W[:, :na], W[:, na:], times),
-                             V, jac_step, Fj, first)
+        _central_differences(stacked(eval_rates), V, jac_step, Fj, first)
         J = jac_static.copy()
         J[point_rows[:, :, None], point_vars[:, None, :]] -= \
             h_point[:, None, None] * Fj

@@ -44,6 +44,22 @@ def test_penalty_frobenius_identity():
                     np.sum(S**2))
 
 
+def test_penalty_of_a_stack_is_the_penalty_of_each_matrix():
+    rng = np.random.default_rng(6)
+    S = rng.standard_normal((5, 3, 2))
+    G = rng.standard_normal((5, 2, 3))
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    P = np.diag([0.3, 1.7])
+    stacked = penalty_value(S, G, W, P)
+    assert stacked.shape == (5,)
+    assert_allclose(stacked, [penalty_value(S[i], G[i], W, P) for i in range(5)],
+                    rtol=1e-13)
+    # one G shared by every matrix of the stack
+    assert_allclose(penalty_value(S, G[0], W, P),
+                    [penalty_value(S[i], G[0], W, P) for i in range(5)],
+                    rtol=1e-13)
+
+
 def test_penalty_sign_invariance_and_monotonicity():
     rng = np.random.default_rng(4)
     S = rng.standard_normal((2, 2))
@@ -142,6 +158,11 @@ def test_augmented_batched_matches_single():
     cost_b = aug.ocp.running_cost(xa, u, 0.0)
     cost_r = [aug.ocp.running_cost(xa[i], u[i], 0.0) for i in range(6)]
     assert_allclose(cost_b, cost_r, atol=1e-14)
+    xf = rng.standard_normal((6, 2))
+    mayer_b = aug.ocp.terminal_cost(xa, 0.0, xf, 50.0)
+    mayer_r = [aug.ocp.terminal_cost(xa[i], 0.0, xf[i], 50.0) for i in range(6)]
+    assert mayer_b.shape == (6,)
+    assert_allclose(mayer_b, mayer_r, rtol=1e-14)
 
 
 def test_zero_weights_degenerate_to_base_cost():

@@ -1,10 +1,12 @@
 """Tests for the collocation transcription layer."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from guidedog.lgr import basis
-from guidedog.ocp import OcpDefinition, example_problem
+from guidedog.ocp import DesensitizationSpec, OcpDefinition, example_problem
 from guidedog.sensitivity import augment
 from guidedog.transcription import (
     Mesh,
@@ -12,6 +14,7 @@ from guidedog.transcription import (
     _second_differences,
     base_objective,
     build_mesh,
+    example_mesh,
     extract_solution,
     map_tau_to_time,
     pack_values,
@@ -488,9 +491,10 @@ def _coupled_running_cost(x, u, t):
 
 
 def _coupled_terminal_cost(x0, t0, xf, tf):
-    # Phi = a d + b^2 c + a b + c d with (a, b) = x(t0), (c, d) = x(tf)
-    a, b = x0
-    c, d = xf
+    # Phi = a d + b^2 c + a b + c d with (a, b) = x(t0), (c, d) = x(tf),
+    # for one pair of endpoints or stacked rows of them
+    a, b = x0[..., 0], x0[..., 1]
+    c, d = xf[..., 0], xf[..., 1]
     return a * d + b * b * c + a * b + c * d
 
 
@@ -547,17 +551,31 @@ def test_mayer_and_running_cross_terms_match_hand_derivatives():
 
 
 def _poly_rows(V):
-    # (B, 3) -> (B, 2) with products and sums only, so a row gives the
+    # (B, n) -> (B, 2) with products and sums only, so a row gives the
     # same bits alone or inside any batch
-    a, b, c = V[:, 0], V[:, 1], V[:, 2]
-    return np.stack([a * a * b + b * c, c * c * a - 2.0 * b], axis=1)
+    a, last = V[:, 0], V[:, -1]
+    first_row, second_row = a * a * last, -2.0 * last
+    for d in range(V.shape[1]):
+        first_row = first_row + V[:, d] * V[:, d - 1]
+        second_row = second_row + V[:, d] * V[:, d] * a
+    return np.stack([first_row, second_row], axis=1)
 
 
-def test_difference_helpers_match_row_by_row_stencils():
-    rng = np.random.default_rng(37)
-    V = rng.standard_normal((5, 3))
-    first = _central_differences(_poly_rows, V, 1e-6, np.empty((5, 2, 3)))
+@settings(max_examples=100, deadline=None)
+@given(batch=st.integers(1, 6), width=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_difference_helpers_match_row_by_row_stencils(batch, width, data,
+                                                       seed):
+    # one stacked call per stencil gives the bits of evaluating every
+    # shift of every row on its own
+    first = data.draw(st.integers(0, width), label="first")
+    V = 2.0 * np.random.default_rng(seed).standard_normal((batch, width))
+    rows_out = np.full((batch, 2, width), 7.0)
+    rows = _central_differences(_poly_rows, V, 1e-6, rows_out, first)
+    scalar = _central_differences(lambda W: _poly_rows(W)[:, 0], V, 1e-6,
+                                  np.full((batch, width), 7.0), first)
     second = _second_differences(lambda W: _poly_rows(W)[:, 1], V, 1e-4)
+    assert rows is rows_out and second.shape == (batch, width, width)
 
     def moved(row, *moves):
         W = row.copy()
@@ -565,14 +583,19 @@ def test_difference_helpers_match_row_by_row_stencils():
             W[0, d] += step
         return _poly_rows(W)[0]
 
-    for i in range(V.shape[0]):
+    for i in range(batch):
         row = V[i:i + 1]
         h = 1e-6 * (1.0 + np.abs(row[0]))
         k = 1e-4 * (1.0 + np.abs(row[0]))
-        for a in range(3):
+        # columns before ``first`` are left as they were
+        assert np.array_equal(rows[i, :, :first], np.full((2, first), 7.0))
+        assert np.array_equal(scalar[i, :first], np.full(first, 7.0))
+        for a in range(first, width):
             ref = (moved(row, (a, h[a])) - moved(row, (a, -h[a]))) / (2.0 * h[a])
-            assert np.array_equal(first[i, :, a], ref)
-            for b in range(3):
+            assert np.array_equal(rows[i, :, a], ref)
+            assert np.array_equal(scalar[i, a], ref[0])
+        for a in range(width):
+            for b in range(width):
                 if a == b:
                     ref = (moved(row, (a, k[a])) - 2.0 * moved(row)
                            + moved(row, (a, -k[a]))) / k[a] ** 2
@@ -582,7 +605,71 @@ def test_difference_helpers_match_row_by_row_stencils():
                            - moved(row, (a, -k[a]), (b, k[b]))
                            + moved(row, (a, -k[a]), (b, -k[b])))
                     ref = ref / (4.0 * k[a] * k[b])
-                assert second[i, a, b] == ref[1]
+                assert np.array_equal(second[i, a, b], ref[1])
+
+
+def _counting(fun, counts, name):
+    def call(*args):
+        counts[name] += 1
+        return fun(*args)
+    return call
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_each_derivative_hook_makes_one_stacked_call_per_callback(augmented):
+    ocp, make_spec = example_problem()
+    problem = augment(ocp, make_spec(7.0, 0.02)) if augmented else ocp
+    inner = problem.ocp if augmented else problem
+    names = ("dynamics", "jac_x", "running_cost", "terminal_cost")
+    counts = dict.fromkeys(names, 0)
+    inner = replace(inner, **{name: _counting(getattr(inner, name), counts, name)
+                              for name in names
+                              if getattr(inner, name) is not None})
+    nlp = transcribe(replace(problem, ocp=inner) if augmented else inner,
+                     example_mesh())
+    rng = np.random.default_rng(43)
+    z = rng.standard_normal(nlp.n_vars)
+    lam = rng.standard_normal(nlp.n_constraints)
+    mayer = int(augmented)
+    # (hook, dynamics, jac_x, running_cost, terminal_cost) calls per
+    # evaluation; the plain Jacobian takes its state columns from jac_x
+    expected = [(lambda: nlp.gradient(z), (0, 0, 1, mayer)),
+                (lambda: nlp.jacobian(z), (1, 1 - mayer, 0, 0)),
+                (lambda: nlp.lagrangian_hessian(z, lam), (1, 0, 1, mayer))]
+    for hook, calls in expected:
+        counts.update(dict.fromkeys(names, 0))
+        hook()
+        assert tuple(counts[name] for name in names) == calls
+
+
+def _half_square_penalty_jacobian(x):
+    # h(x) = x^2 / 2, so G = dh/dx = x(tf)
+    return np.array([[x[0]]])
+
+
+def test_state_dependent_penalty_mayer_block_matches_hand_derivatives():
+    ocp, _ = example_problem()
+    w, var = 3.0, 0.5
+    spec = DesensitizationSpec(penalty_jacobian=_half_square_penalty_jacobian,
+                               terminal_weight=np.array([[w]]),
+                               param_covariance=np.array([[var]]))
+    nlp = transcribe(augment(ocp, spec), build_mesh(0.0, 50.0, 3, 4))
+    P = nlp.layout.n_state_points
+    rng = np.random.default_rng(47)
+    z = 0.8 * rng.standard_normal(nlp.n_vars)
+    lam = rng.standard_normal(nlp.n_constraints)
+    # x(tf), S(tf) sit on the last support point, which no collocation
+    # point owns, so the Mayer term w var x^2 S^2 is all that reaches them
+    ends = [2 * (P - 1), 2 * (P - 1) + 1]
+    x, s = z[ends]
+    grad = 2.0 * w * var * np.array([x * s * s, x * x * s])
+    hand = 2.0 * w * var * np.array([[s * s, 2.0 * x * s],
+                                     [2.0 * x * s, x * x]])
+    assert np.allclose(nlp.gradient(z)[ends], grad, rtol=1e-8, atol=1e-9)
+    hess = nlp.lagrangian_hessian(z, lam)
+    assert np.allclose(hess[np.ix_(ends, ends)], hand, rtol=1e-6, atol=1e-6)
+    # nothing couples x(tf), S(tf) to the initial point
+    assert np.allclose(hess[np.ix_(ends, [0, 1])], 0.0, atol=1e-6)
 
 
 def _expected_patterns(problem, orders):
