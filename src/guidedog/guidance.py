@@ -158,7 +158,8 @@ def restart_conditions(prev_solution: Trajectory, sim, t_handoff: float):
     never propagates S.
     """
     t_handoff = float(t_handoff)
-    if abs(t_handoff - sim.t_end) > 1e-9 * max(1.0, abs(sim.t_end)):
+    # negated, so that a NaN handoff time is rejected
+    if not abs(t_handoff - sim.t_end) <= 1e-9 * max(1.0, abs(sim.t_end)):
         raise ValueError(
             f"handoff at t = {t_handoff}, but the simulation ends at {sim.t_end}")
     x0 = np.array(sim.terminal_state, copy=True)
@@ -346,6 +347,18 @@ def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                      warm=warm_start)
 
 
+def _check_solved(cfg: GuidanceConfig, traj: Trajectory, name: str,
+                  mesh: bool = True) -> None:
+    """Reject a precomputed solution from the other method family, or
+    with ``mesh`` one not solved on ``cfg.mesh`` (ValueError)."""
+    if (traj.sens_shape is not None) != cfg.desensitized:
+        family = "desensitized" if cfg.desensitized else "plain"
+        raise ValueError(f"method {cfg.method} needs a {family} {name}")
+    if mesh and (tuple(traj.orders) != cfg.mesh.orders or not np.array_equal(
+            traj.interval_times, cfg.mesh.interval_times())):
+        raise ValueError(f"{name} was not solved on the mission's mesh")
+
+
 def _ends_horizon(t: float, tf: float) -> bool:
     """Whether time ``t`` leaves no horizon before ``tf`` to re-solve on."""
     return t >= tf - 1e-9 * max(1.0, abs(tf))
@@ -358,9 +371,12 @@ def nominal_first_resolve(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     Batch drivers pass it to every draw's :func:`run_mission` as
     ``first_warm``: a draw hands off near the nominal state, so its
     first re-solve starts next to its optimum.  None when the first
-    cycle ends at tf, or when the flight or the re-solve fails.
+    cycle ends at tf, or when the flight or the re-solve fails.  A
+    reference from the other method family or another mesh raises
+    ValueError.
     """
     cfg = _with_mesh(cfg, ocp)
+    _check_solved(cfg, reference[0], "reference")
     t0, tf = ocp.time_domain
     t_end = cycle_bounds(0, t0, cfg.cycle_duration)[1]
     if _ends_horizon(t_end, tf):
@@ -397,11 +413,17 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     perturbed missions against it.  ``first_warm``, the result of
     :func:`nominal_first_resolve` for that reference, replaces the
     reference as cycle 0's warm start; the handoff state and S(t1)
-    stay the mission's own.
+    stay the mission's own.  Either one from the other method family,
+    or a reference from another mesh, raises ValueError before any
+    flight.
     """
     check_schedule(cfg, ocp.time_domain)
     check_params(ocp, p_tilde)
     cfg = _with_mesh(cfg, ocp)
+    if reference is not None:
+        _check_solved(cfg, reference[0], "reference")
+    if first_warm is not None:
+        _check_solved(cfg, first_warm, "first_warm", mesh=False)
     t0, tf = ocp.time_domain
     trajectories, statuses, iterations = [], [], []
     seg_times, seg_states, seg_controls = [], [], []

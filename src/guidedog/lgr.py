@@ -22,7 +22,6 @@ __all__ = [
     "differentiation_matrix",
     "barycentric_weights",
     "barycentric_eval",
-    "barycentric_scalar",
     "basis",
     "interval_node_times",
 ]
@@ -127,7 +126,7 @@ def barycentric_eval(nodes, weights, values, tau):
     equal to a node returns that node's sample exactly.  Both sums run
     node by node in node order (a cumulative sum, never pairwise or
     BLAS), so each row of an array query is bit-identical to the same
-    query made on its own and to :func:`barycentric_scalar`.
+    query made on its own.
     """
     values = np.asarray(values, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -146,41 +145,6 @@ def barycentric_eval(nodes, weights, values, tau):
     if hit_rows.size:
         out[hit_rows] = rows[hit_cols]
     return out.reshape(tau.shape + values.shape[1:])
-
-
-def barycentric_scalar(nodes, weights, values):
-    """:func:`barycentric_eval` bound to one polynomial, for float queries.
-
-    Returns ``evaluate(tau) -> list`` of the ``values.shape[1]`` sample
-    columns at one float ``tau``.  The nodes, weights and samples are
-    converted to Python floats once, so a query costs only float
-    arithmetic; the sums run in the same node order as
-    :func:`barycentric_eval`, so the results agree bit for bit, and a
-    node hit returns the stored sample.
-    """
-    nodes = [float(x) for x in nodes]
-    pairs = list(zip(nodes, (float(w) for w in weights)))
-    samples = np.asarray(values, dtype=float).reshape(len(nodes), -1)
-    rows = samples.tolist()
-    columns = [(col[0], col[1:]) for col in samples.T.tolist()]
-
-    def evaluate(tau):
-        try:
-            c0, *cs = [w / (tau - x) for x, w in pairs]
-        except ZeroDivisionError:   # tau - x is zero only at tau == x
-            return list(rows[nodes.index(tau)])
-        den = c0
-        for c in cs:
-            den += c
-        out = []
-        for r0, rs in columns:
-            num = c0 * r0
-            for c, r in zip(cs, rs):
-                num += c * r
-            out.append(num / den)
-        return out
-
-    return evaluate
 
 
 def differentiation_matrix(nodes: np.ndarray, noncollocated: float = 1.0) -> np.ndarray:

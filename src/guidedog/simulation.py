@@ -5,10 +5,11 @@ while the control is read from a solved trajectory.  Integration is
 split at the trajectory's mesh-interval boundaries, and each segment's
 right-hand side reads its own interval's control polynomial, up to and
 including the segment ends: no stage evaluation ever sees the
-neighbouring interval's control.  That polynomial is bound once per
-segment (:meth:`Trajectory.interval_control`), so each right-hand-side
-call evaluates it in float arithmetic, bit-identical to
-:meth:`Trajectory.interval_values`.
+neighbouring interval's control.  An explicit Runge-Kutta step knows
+all its stage times before it computes any stage state, so each step
+attempt reads its stage controls from that polynomial in one
+:meth:`Trajectory.interval_values` call; each row equals the same time
+queried alone, bit for bit.
 
 The integrator is DOP853 (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, §II.4 and §II.10) with the coefficients and
@@ -161,20 +162,20 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
     cuts = np.concatenate(([t_start], interior if t_end >= t_start
                            else interior[::-1], [t_end]))
 
+    def rhs(t, x, u):
+        return np.atleast_1d(np.asarray(ocp.dynamics(x, u, params, t),
+                                        dtype=float))
+
     times = [t_start]
     states = [x]
     h_abs = None   # only the first segment selects its first step
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a == b:
             continue
-        control = traj.interval_control(int(traj.locate(0.5 * (a + b))))
-
-        def rhs(t, x, control=control):
-            return np.atleast_1d(np.asarray(
-                ocp.dynamics(x, control(t), params, t), dtype=float))
-
-        h_abs = _dop853(rhs, float(a), x, float(b), rtol, abs_tol, h_abs,
-                        times, states)
+        k = int(traj.locate(0.5 * (a + b)))
+        h_abs = _dop853(
+            rhs, lambda ts: traj.interval_values(k, ts, control=True),
+            float(a), x, float(b), rtol, abs_tol, h_abs, times, states)
         x = states[-1]
 
     t_grid = np.array(times)
@@ -188,7 +189,7 @@ def _rms(v):
     return np.linalg.norm(v) / v.size ** 0.5
 
 
-def _initial_step(fun, t, y, f, t_end, direction, rtol, atol):
+def _initial_step(fun, control, t, y, f, t_end, direction, rtol, atol):
     """scipy's first-step rule for an order-7 error estimate
     (Hairer, Nørsett & Wanner, §II.4)."""
     length = abs(t_end - t)
@@ -196,7 +197,8 @@ def _initial_step(fun, t, y, f, t_end, direction, rtol, atol):
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
-    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    t1 = t + h0 * direction
+    f1 = fun(t1, y + h0 * direction * f, control(t1))
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -205,10 +207,12 @@ def _initial_step(fun, t, y, f, t_end, direction, rtol, atol):
     return min(100 * h0, h1, length)
 
 
-def _dop853(fun, t, y, t_end, rtol, atol, h_abs, times, states):
-    """Fly ``y' = fun(t, y)`` from ``(t, y)`` to ``t_end`` by DOP853,
+def _dop853(fun, control, t, y, t_end, rtol, atol, h_abs, times, states):
+    """Fly ``y' = fun(t, y, u)`` from ``(t, y)`` to ``t_end`` by DOP853,
     appending each accepted step's time and state to ``times`` and
     ``states``, and return the step size the controller proposes next.
+    ``u`` is a row of ``control(times)``, which each step attempt calls
+    once on all its stage times (the last, c = 1, is the step's end).
 
     The first step is ``h_abs``, or scipy's choice when it is None.
     The step rule is scipy's: safety 0.9, step factor in [0.2, 10],
@@ -216,9 +220,10 @@ def _dop853(fun, t, y, t_end, rtol, atol, h_abs, times, states):
     is not finite, or a step below 10 ulp, raises RuntimeError."""
     t0 = t
     direction = 1.0 if t_end > t else -1.0
-    f = fun(t, y)
+    f = fun(t, y, control(t))
     if h_abs is None:
-        h_abs = _initial_step(fun, t, y, f, t_end, direction, rtol, atol)
+        h_abs = _initial_step(fun, control, t, y, f, t_end, direction,
+                              rtol, atol)
     K = np.empty((13, y.size))
     while direction * (t - t_end) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -234,12 +239,14 @@ def _dop853(fun, t, y, t_end, rtol, atol, h_abs, times, states):
                 t_new = t_end
             h = t_new - t
             h_abs = np.abs(h)
+            stage_t = t + _C * h
+            U = control(stage_t)
             K[0] = f
             for s in range(1, 12):
                 dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = fun(t + _C[s] * h, y + dy)
+                K[s] = fun(stage_t[s], y + dy, U[s])
             y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = fun(t + h, y_new)
+            K[-1] = f_new = fun(stage_t[-1], y_new, U[-1])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2

@@ -6,9 +6,9 @@ state, control and sensitivity at a time or an array of times inside
 its span by barycentric Lagrange interpolation over the owning mesh
 interval (right-continuous at interfaces).  :meth:`Trajectory.interval_values`
 evaluates one interval's own polynomial, up to and including its right
-end, and :meth:`Trajectory.interval_control` binds one interval's control
-polynomial to a function of a float time, bit-identical to it.  At a
-stored sample time the stored sample itself is returned.
+end; each row of an array query equals the same time queried alone, bit
+for bit.  At a stored sample time the stored sample itself is returned.
+A time outside the span, or NaN, raises ValueError.
 State polynomials are supported on the N_k collocation nodes plus the
 right endpoint; control polynomials on the N_k collocation nodes only,
 evaluated across the whole interval (the standard Radau convention for
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lgr import barycentric_eval, barycentric_scalar, basis, interval_node_times
+from .lgr import barycentric_eval, basis, interval_node_times
 
 __all__ = ["Trajectory"]
 
@@ -64,7 +64,8 @@ class Trajectory:
         """Index of the mesh interval containing each time (right-continuous)."""
         t = np.asarray(t, dtype=float)
         slack = 1e-9 * max(1.0, abs(self.tf - self.t0))
-        outside = (t < self.t0 - slack) | (t > self.tf + slack)
+        # negated, so that NaN counts as outside
+        outside = ~((t >= self.t0 - slack) & (t <= self.tf + slack))
         if np.any(outside):
             raise ValueError(
                 f"time {t[outside]} outside trajectory span "
@@ -90,27 +91,6 @@ class Trajectory:
                                     self.control_values[k], tau)
         return barycentric_eval(self._state_taus[k], bas.support_bary,
                                 self.state_values[k], tau)
-
-    def interval_control(self, k: int):
-        """Interval k's control polynomial as ``u(t) -> (n_controls,)``.
-
-        Equals ``interval_values(k, t, control=True)`` bit for bit at a
-        float ``t``, but the tau map, nodes, weights and samples are
-        bound once as Python floats, so a call does no locating,
-        clipping or array work until it packs the result.
-        """
-        a = float(self.interval_times[k])
-        width = float(self.interval_times[k + 1]) - a
-        evaluate = barycentric_scalar(self._control_taus[k],
-                                      basis(self.orders[k]).node_bary,
-                                      self.control_values[k])
-
-        def control(t):
-            # the arithmetic of _local_tau, then its clip to [-1, 1]
-            tau = 2.0 * (float(t) - a) / width - 1.0
-            return np.array(evaluate(min(max(tau, -1.0), 1.0)))
-
-        return control
 
     def _located(self, t, control: bool) -> np.ndarray:
         t = np.asarray(t, dtype=float)

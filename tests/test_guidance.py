@@ -113,8 +113,9 @@ def test_restart_conditions_sources(problem, oc_mission, doc_mission):
     _, s_plain = restart_conditions(ref_plain, sim, 4.0)
     assert s_plain is None
 
-    with pytest.raises(ValueError):
-        restart_conditions(ref_aug, sim, 9.0)
+    for t in (9.0, np.nan):
+        with pytest.raises(ValueError):
+            restart_conditions(ref_aug, sim, t)
 
 
 def test_reference_sensitivity_starts_at_zero(doc_mission):
@@ -405,6 +406,39 @@ def test_bad_p_tilde_fails_before_any_solve(problem, monkeypatch, p_tilde):
         run_mission(ocp, spec, GuidanceConfig(method="DOG"),
                     p_tilde=np.array(p_tilde))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "method, reference_family, warm_family, mesh, match", [
+        ("DOG", "OC", None, None, "reference"),
+        ("OG", "DOC", None, None, "reference"),
+        ("OC", "DOC", None, None, "reference"),
+        ("DOC", "OC", None, None, "reference"),
+        ("OC", "OC", None, study_mesh(), "mesh"),
+        ("DOG", "DOC", "OC", None, "first_warm"),
+    ], ids=["DOG-plain", "OG-desensitized", "OC-desensitized", "DOC-plain",
+            "mesh", "first-warm"])
+def test_mismatched_reference_fails_before_any_flight(
+        problem, oc_mission, doc_mission, monkeypatch, method,
+        reference_family, warm_family, mesh, match):
+    # unchecked, a plain reference crashes a DOG mission after cycle 0,
+    # and the other mismatches fly under the wrong method's name
+    ocp, spec = problem
+    solved = {"OC": oc_mission.trajectories[0],
+              "DOC": doc_mission.trajectories[0]}
+    flown = []
+    monkeypatch.setattr(guidance, "integrate",
+                        lambda *args, **kwargs: flown.append(1))
+    cfg = GuidanceConfig(method=method, mesh=mesh)
+    reference = (solved[reference_family], None)
+    with pytest.raises(ValueError, match=match):
+        run_mission(ocp, spec, cfg, p_tilde=np.array([2.0178]),
+                    reference=reference,
+                    first_warm=solved.get(warm_family))
+    if warm_family is None:
+        with pytest.raises(ValueError, match=match):
+            nominal_first_resolve(ocp, spec, cfg, reference)
+    assert flown == []
 
 
 def test_schedule_rule_applies_only_to_guided_methods():

@@ -138,10 +138,9 @@ def test_control_outside_span_raises():
     mesh = build_mesh(0.0, 2.0, 2, 3)
     ocp = _plant(lambda x, u, p, t: -x, tf=2.0)
     traj = _trajectory(ocp, mesh)
-    with pytest.raises(ValueError):
-        traj.control_at(-0.5)
-    with pytest.raises(ValueError):
-        traj.control_at(2.5)
+    for t in (-0.5, 2.5, np.nan):
+        with pytest.raises(ValueError):
+            traj.control_at(t)
 
 
 def test_integrate_rejects_span_outside_trajectory():
@@ -331,11 +330,9 @@ def test_dop853_tableau_is_scipys_bit_for_bit():
         assert ours.tobytes() == theirs.tobytes()
 
 
-@pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, 0.0), (0.5, 2.25)])
-@pytest.mark.parametrize("tol", [1e-6, 1e-10])
-def test_fresh_segment_matches_solve_ivp(span, tol):
-    # one mesh interval is one segment, started from scratch: the same
-    # steps and states as scipy's DOP853 at the same tolerances
+def _one_interval_plant():
+    """A two-state plant on a one-interval trajectory over [0, 3], and
+    scipy's DOP853 flight of it under that interval's control."""
     def dyn(x, u, p, t):
         return np.array([-p[0] * x[0] + np.sin(x[1]) * u[0],
                          x[0] * x[1] - 0.3 * u[0] ** 2])
@@ -346,15 +343,61 @@ def test_fresh_segment_matches_solve_ivp(span, tol):
         nominal_params=np.array([0.7]), time_domain=(0.0, 3.0))
     traj = _trajectory(ocp, build_mesh(0.0, 3.0, 1, 5),
                        np.array([[0.4], [-1.0], [0.3], [1.2], [0.8]]))
-    control = traj.interval_control(0)
+
+    def reference(x0, span, tol):
+        ref = solve_ivp(
+            lambda t, x: dyn(x, traj.interval_values(0, t, control=True),
+                             ocp.nominal_params, t),
+            span, x0, method="DOP853", rtol=tol, atol=tol)
+        assert ref.success
+        return ref
+
+    return ocp, traj, reference
+
+
+@pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, 0.0), (0.5, 2.25)])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_fresh_segment_matches_solve_ivp(span, tol):
+    # one mesh interval is one segment, started from scratch: the same
+    # steps and states as scipy's DOP853 at the same tolerances
+    ocp, traj, reference = _one_interval_plant()
     x0 = np.array([1.0, -0.5])
     sim = integrate(ocp, traj, x0, span, abs_tol=tol, rel_tol=tol)
-    ref = solve_ivp(lambda t, x: dyn(x, control(t), ocp.nominal_params, t),
-                    span, x0, method="DOP853", rtol=tol, atol=tol)
-    assert ref.success
+    ref = reference(x0, span, tol)
     assert sim.times.shape == ref.t.shape
     np.testing.assert_allclose(sim.times, ref.t, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(sim.states, ref.y.T, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, 0.0)])
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+def test_each_step_attempt_reads_its_controls_in_one_call(span, tol):
+    # the first derivative and the first-step probe read one time each;
+    # every step attempt then reads its twelve stage times in one call,
+    # the last (c = 1) also serving the derivative at the step's end.
+    # scipy's nfev, 2 + 12 per attempt, counts the attempts.
+    ocp, traj, reference = _one_interval_plant()
+    reads, calls = [], []
+
+    def control(times):
+        reads.append(np.shape(times))
+        return traj.interval_values(0, times, control=True)
+
+    def fun(t, x, u):
+        calls.append((t, u.copy()))
+        return ocp.dynamics(x, u, ocp.nominal_params, t)
+
+    x0 = np.array([1.0, -0.5])
+    times, states = [span[0]], [x0]
+    simulation._dop853(fun, control, span[0], x0, span[1], tol, tol, None,
+                       times, states)
+    attempts, rest = divmod(reference(x0, span, tol).nfev - 2, 12)
+    assert rest == 0 and attempts >= len(times) - 1
+    assert reads == [()] * 2 + [(12,)] * attempts
+    assert len(calls) == 2 + 12 * attempts
+    for t, u in calls:
+        want = traj.interval_values(0, t, control=True)
+        assert u.tobytes() == want.tobytes()
 
 
 @st.composite

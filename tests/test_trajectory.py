@@ -2,6 +2,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from guidedog import simulation
 from guidedog.lgr import basis, interval_node_times
 from guidedog.ocp import example_problem
 from guidedog.trajectory import Trajectory
@@ -193,23 +194,31 @@ def control_meshes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(control_meshes())
-def test_bound_interval_control_matches_interval_values_bitwise(case):
+def test_interval_values_rows_match_single_time_queries_bitwise(case):
+    # the truth plant reads a step attempt's stage controls in one array
+    # query, so each row must equal the same time queried alone
     traj, fractions = case
     for k in range(traj.n_intervals):
         a, b = traj.interval_times[k], traj.interval_times[k + 1]
-        control = traj.interval_control(k)
-        # random times, stored node times, both ends, and times past
-        # either end, which clamp to it
+        # random times, stored node times, both ends, times past either
+        # end, which clamp to it, and DOP853's stage times over [a, b]
         times = np.concatenate([a + np.asarray(fractions) * (b - a),
-                                traj.control_times[k],
-                                [a, b, a - 0.5 * (b - a), b + 0.5 * (b - a)]])
-        for t in times:
-            got = control(t)
-            want = traj.interval_values(k, t, control=True)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        for t, row in zip(traj.control_times[k], traj.control_values[k]):
-            assert np.array_equal(control(t), row)
+                                traj.control_times[k], traj.state_times[k],
+                                [a, b, a - 0.5 * (b - a), b + 0.5 * (b - a)],
+                                a + simulation._C * (b - a)])
+        for control in (False, True):
+            rows = traj.interval_values(k, times, control=control)
+            assert rows.shape[0] == times.size
+            for t, row in zip(times, rows):
+                alone = traj.interval_values(k, t, control=control)
+                assert alone.shape == row.shape
+                assert alone.tobytes() == row.tobytes()
+        for control, node_times, samples in (
+                (False, traj.state_times[k], traj.state_values[k]),
+                (True, traj.control_times[k], traj.control_values[k])):
+            for t, row in zip(node_times, samples):
+                got = traj.interval_values(k, t, control=control)
+                assert got.tobytes() == row.tobytes()
 
 
 def test_sensitivity_at_accepts_arrays_of_times():
