@@ -22,6 +22,12 @@ Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
 previous solution evaluated at that mesh's node times
 (``Mesh.node_times``).
+
+Missions that share a reference fly in lock step (:func:`run_missions`):
+at every cycle all their plans lie on the same compressed mesh, so one
+stacked truth flight carries each mission still flying as a lane, and
+then each mission makes its own re-solve.  A single mission
+(:func:`run_mission`) is the one-lane case.
 """
 from __future__ import annotations
 
@@ -54,6 +60,7 @@ __all__ = [
     "restart_conditions",
     "solve_reference",
     "run_mission",
+    "run_missions",
 ]
 
 METHODS = ("OC", "DOC", "OG", "DOG")
@@ -140,9 +147,12 @@ def check_schedule(cfg: GuidanceConfig, time_domain) -> None:
 
 def cycle_bounds(s: int, t0: float, cycle_duration: float
                  ) -> tuple[float, float]:
-    """Time span covered by guidance cycle ``s`` (cycles index from 0)."""
-    if s < 0:
-        raise ValueError(f"cycle index must be nonnegative, got {s}")
+    """Time span covered by guidance cycle ``s`` (cycles index from 0).
+
+    ``s`` must be an integer of at least 0, and ``cycle_duration``
+    positive and finite (ValueError otherwise)."""
+    if not isinstance(s, Integral) or s < 0:
+        raise ValueError(f"cycle index must be a nonnegative integer, got {s}")
     if not (np.isfinite(cycle_duration) and cycle_duration > 0.0):
         raise ValueError("cycle_duration must be positive and finite")
     return t0 + s * cycle_duration, t0 + (s + 1) * cycle_duration
@@ -416,68 +426,125 @@ def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     stay the mission's own.  Either one from the other method family,
     or a reference from another mesh, raises ValueError before any
     flight.
+
+    This is the one-lane case of :func:`run_missions`.
+    """
+    return run_missions(ocp, spec, cfg, [p_tilde], reference=reference,
+                        first_warm=first_warm)[0]
+
+
+@dataclass
+class _Lane:
+    """One mission in flight: its parameters, its solves (the last is
+    the plan it flies), its flown spans and state, and the message
+    that stopped it (None while it flies)."""
+
+    p_tilde: np.ndarray
+    trajectories: list = field(default_factory=list)
+    statuses: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)
+    flown: list = field(default_factory=list)
+    x: Optional[np.ndarray] = None
+    message: Optional[str] = None
+
+    def solved(self, traj: Trajectory, sol, iterations: int) -> None:
+        self.trajectories.append(traj)
+        self.statuses.append(sol.status)
+        self.iterations.append(iterations)
+
+    def result(self, method: str, tf: float) -> MissionResult:
+        failed = self.message is not None
+        if self.flown:
+            # each span after the first starts at the previous one's end
+            times, states, controls = (
+                np.concatenate([getattr(sim, name)[min(i, 1):]
+                                for i, sim in enumerate(self.flown)])
+                for name in ("times", "states", "controls"))
+        else:
+            times, states, controls = (np.array([]), np.empty((0, 0)),
+                                       np.empty((0, 0)))
+        return MissionResult(
+            method=method, trajectories=self.trajectories,
+            statuses=self.statuses, iterations=self.iterations,
+            times=times, states=states, controls=controls,
+            terminal_state=None if failed else self.x.copy(),
+            epsilon=(float("nan") if failed else float(
+                self.x[0] - self.trajectories[0].state_at(tf)[0])),
+            failed=failed,
+            failure_cycle=len(self.trajectories) - 1 if failed else None,
+            message=self.message or "",
+        )
+
+
+def run_missions(ocp: OcpDefinition, spec, cfg: GuidanceConfig, p_tildes,
+                 reference=None, first_warm=None) -> list:
+    """Fly one mission per entry of ``p_tildes`` in lock step.
+
+    Every mission is the one :func:`run_mission` flies with that
+    ``p_tilde`` (None for the nominal parameters), and the result is
+    their list, in order.  The missions share the reference (solved
+    here once when ``reference`` is None) and ``first_warm``.  Per
+    guidance cycle, every mission still flying is one lane of a single
+    stacked truth flight (:func:`~guidedog.simulation.integrate`), and
+    then each makes its own re-solve.  A lane's flight does not depend
+    on the others, so each mission equals the one flown alone, bit for
+    bit.  A mission whose flight or re-solve fails stops there and
+    drops out of later flights; the others fly on.  What
+    :func:`run_mission` rejects before any solve (ValueError), this
+    rejects for any entry.
     """
     check_schedule(cfg, ocp.time_domain)
-    check_params(ocp, p_tilde)
+    lanes = [_Lane(check_params(ocp, p)) for p in p_tildes]
     cfg = _with_mesh(cfg, ocp)
     if reference is not None:
         _check_solved(cfg, reference[0], "reference")
     if first_warm is not None:
         _check_solved(cfg, first_warm, "first_warm", mesh=False)
     t0, tf = ocp.time_domain
-    trajectories, statuses, iterations = [], [], []
-    seg_times, seg_states, seg_controls = [], [], []
-    failed, message = False, ""
-
-    def fly(span_start, span_end):
-        nonlocal x
-        sim = integrate(ocp, current, x, (span_start, span_end),
-                        p_tilde=p_tilde)
-        skip = 1 if seg_times else 0     # joint sample already recorded
-        seg_times.append(sim.times[skip:])
-        seg_states.append(sim.states[skip:])
-        seg_controls.append(sim.controls[skip:])
-        x = np.array(sim.terminal_state, copy=True)
-        return sim
-
     try:
-        current, sol = (solve_reference(ocp, spec, cfg) if reference is None
-                        else reference)
-        trajectories.append(current)
-        statuses.append(sol.status)
-        iterations.append(sol.iterations)
-        x, t_flown = current.state_at(t0).copy(), t0
-        for s in range(cfg.cycle_count if cfg.guided else 0):
-            sim = fly(t_flown, cycle_bounds(s, t0, cfg.cycle_duration)[1])
-            t_flown = sim.t_end
-            if _ends_horizon(t_flown, tf):
-                break
-            x_next, s0 = restart_conditions(current, sim, t_flown)
-            warm = current if s or first_warm is None else first_warm
-            current, sol, spent = _resolve_cycle(
-                ocp, spec, cfg, cfg.mesh, x_next, s0, t_flown, tf, warm)
-            trajectories.append(current)
-            statuses.append(sol.status)
-            iterations.append(spent)
-        if not _ends_horizon(t_flown, tf):
-            fly(t_flown, tf)
+        plan, sol = (solve_reference(ocp, spec, cfg) if reference is None
+                     else reference)
     except RuntimeError as exc:
-        failed, message = True, str(exc)
+        for lane in lanes:
+            lane.message = str(exc)
+        return [lane.result(cfg.method, tf) for lane in lanes]
+    for lane in lanes:
+        lane.solved(plan, sol, sol.iterations)
+        lane.x = plan.state_at(t0).copy()
 
-    times, states, controls = _stitch(seg_times, seg_states, seg_controls)
-    return MissionResult(
-        method=cfg.method, trajectories=trajectories, statuses=statuses,
-        iterations=iterations, times=times, states=states, controls=controls,
-        terminal_state=None if failed else x.copy(),
-        epsilon=(float("nan") if failed
-                 else float(x[0] - trajectories[0].state_at(tf)[0])),
-        failed=failed, failure_cycle=len(trajectories) - 1 if failed else None,
-        message=message,
-    )
+    def fly(live, t_start, t_end):
+        """One stacked flight of the live lanes on their plans; returns
+        the lanes that reach ``t_end``."""
+        sims = integrate(ocp, [lane.trajectories[-1] for lane in live],
+                         np.stack([lane.x for lane in live]),
+                         (t_start, t_end),
+                         p_tilde=np.stack([lane.p_tilde for lane in live]))
+        for lane, sim in zip(live, sims):
+            if isinstance(sim, RuntimeError):
+                lane.message = str(sim)
+            else:
+                lane.flown.append(sim)
+                lane.x = np.array(sim.terminal_state, copy=True)
+        return [lane for lane in live if lane.message is None]
 
-
-def _stitch(seg_times, seg_states, seg_controls):
-    if not seg_times:
-        return np.array([]), np.empty((0, 0)), np.empty((0, 0))
-    return (np.concatenate(seg_times), np.vstack(seg_states),
-            np.vstack(seg_controls))
+    live, t_flown = lanes, t0
+    for s in range(cfg.cycle_count if cfg.guided else 0):
+        if not live:
+            break
+        t_end = cycle_bounds(s, t0, cfg.cycle_duration)[1]
+        live, t_flown = fly(live, t_flown, t_end), t_end
+        if _ends_horizon(t_flown, tf):
+            break
+        for lane in live:
+            plan = lane.trajectories[-1]
+            x_next, s0 = restart_conditions(plan, lane.flown[-1], t_flown)
+            warm = plan if s or first_warm is None else first_warm
+            try:
+                lane.solved(*_resolve_cycle(ocp, spec, cfg, cfg.mesh, x_next,
+                                            s0, t_flown, tf, warm))
+            except RuntimeError as exc:
+                lane.message = str(exc)
+        live = [lane for lane in live if lane.message is None]
+    if live and not _ends_horizon(t_flown, tf):
+        fly(live, t_flown, tf)
+    return [lane.result(cfg.method, tf) for lane in lanes]

@@ -121,30 +121,38 @@ def barycentric_weights(points: np.ndarray) -> np.ndarray:
 def barycentric_eval(nodes, weights, values, tau):
     """Interpolant through ``(nodes, values)`` at a scalar or array ``tau``.
 
-    Returns shape ``tau.shape + values.shape[1:]``, by the second (true)
+    ``values`` is (N,) or (N, w), and the result has shape
+    ``tau.shape + values.shape[1:]``.  With a leading lane axis,
+    ``values`` (P, N, w) holds P sample sets on the same nodes and
+    ``tau`` (P, ...) their queries; lane i is read at ``tau[i]``, and
+    the result is ``tau.shape + (w,)``.  By the second (true)
     barycentric formula (Berrut & Trefethen, SIAM Review 2004).  A query
     equal to a node returns that node's sample exactly.  Both sums run
     node by node in node order (a cumulative sum, never pairwise or
-    BLAS), so each row of an array query is bit-identical to the same
-    query made on its own.
+    BLAS), so each row of an array query, in any lane, is bit-identical
+    to the same query made on its own.
     """
     values = np.asarray(values, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    rows = values.reshape(values.shape[0], -1)
-    delta = tau.reshape(-1, 1) - nodes
-    hit_rows, hit_cols = np.nonzero(delta == 0.0)
-    if hit_rows.size:
+    if values.ndim == 3:
+        lanes, shape = values, tau.shape + values.shape[2:]
+    else:
+        lanes = values.reshape(1, values.shape[0], -1)
+        shape = tau.shape + values.shape[1:]
+    # (P, q, N) node offsets of each lane's queries
+    delta = tau.reshape(lanes.shape[0], -1, 1) - nodes
+    hits = () if delta.all() else np.nonzero(delta == 0.0)
+    if hits:
         # a node hit would divide by zero: give its row a finite
         # one-term sum, then overwrite it with the stored sample
-        delta[hit_rows] = np.inf
-        delta[hit_rows, hit_cols] = 1.0
+        delta[hits[:2]] = np.inf
+        delta[hits] = 1.0
     coef = weights / delta
-    num = np.cumsum(coef[:, :, None] * rows, axis=1)[:, -1]
-    den = np.cumsum(coef, axis=1)[:, -1]
-    out = num / den[:, None]
-    if hit_rows.size:
-        out[hit_rows] = rows[hit_cols]
-    return out.reshape(tau.shape + values.shape[1:])
+    num = (coef[..., None] * lanes[:, None]).cumsum(axis=2)[:, :, -1]
+    out = num / coef.cumsum(axis=2)[:, :, -1, None]
+    if hits:
+        out[hits[:2]] = lanes[hits[0], hits[2]]
+    return out.reshape(shape)
 
 
 def differentiation_matrix(nodes: np.ndarray, noncollocated: float = 1.0) -> np.ndarray:

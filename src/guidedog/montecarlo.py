@@ -10,8 +10,13 @@ Each run's draw comes from its own counter-based ``Philox`` stream
 keyed by ``(seed, run_index)``.  The sequence therefore depends only on
 the seed and the run index — not on how many runs precede it or which
 methods are requested — and any prefix of a longer campaign reproduces
-the shorter one exactly.  Runs are flown one after another in this
-process.
+the shorter one exactly.  Each method flies all its draws together in
+this process (:func:`~guidedog.guidance.run_missions`): per guidance
+cycle, one stacked truth flight carries every draw still flying as a
+lane, and then each draw makes its own re-solve.  A lane flies as it
+would alone, bit for bit, so the prefix property holds and every record
+is the mission :func:`~guidedog.guidance.run_mission` flies for its
+draw against the shared reference and first re-solve.
 
 Reference solves are shared: one plain solve covers OC and OG, one
 sensitivity-augmented solve covers DOC and DOG.  So is each guided
@@ -28,8 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# run_mission stays importable from here for callers that fly a single
+# mission; campaigns fly each method's draws together by run_missions
 from .guidance import (METHODS, GuidanceConfig, check_schedule,
-                       nominal_first_resolve, run_mission, solve_reference)
+                       nominal_first_resolve, run_mission, run_missions,
+                       solve_reference)
 from .ocp import OcpDefinition
 from .transcription import Mesh, build_mesh
 
@@ -155,12 +163,20 @@ def sample_alpha(seed: int, run_count: int, alpha: float,
     """Draw the paired parameter sequence for a campaign.
 
     Run ``i`` takes the first normal variate of the Philox stream keyed
-    ``(seed, i)``, so the value never depends on the other runs.
+    ``(seed, i)``, so the value never depends on the other runs.  The
+    seed must be an integer in [0, 2**64), ``run_count`` an integer of
+    at least 0, and ``alpha`` and ``sigma`` finite with ``sigma >= 0``
+    (ValueError otherwise).
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if run_count < 0:
-        raise ValueError("run_count must be nonnegative")
+    if not isinstance(seed, Integral) or not 0 <= int(seed) < _MAX_SEED:
+        raise ValueError(f"seed must be an integer that fits in 64 bits, "
+                         f"got {seed!r}")
+    if not isinstance(run_count, Integral) or run_count < 0:
+        raise ValueError(f"run_count must be a nonnegative integer, "
+                         f"got {run_count!r}")
+    if not (np.isfinite(alpha) and np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"alpha and sigma must be finite with sigma >= 0, "
+                         f"got alpha={alpha!r}, sigma={sigma!r}")
     draws = np.empty(run_count)
     for i in range(run_count):
         gen = np.random.Generator(np.random.Philox(key=[int(seed), i]))
@@ -209,28 +225,30 @@ def run_campaign(ocp: OcpDefinition, spec, cfg: MonteCarloConfig,
                   for m, c in configs.items()
                   if c.guided and references[c.desensitized] is not None}
 
-    def one_run(i: int) -> List[MonteCarloRecord]:
-        alpha_tilde = float(draws[i])
-        p_tilde = nominal.copy()
-        p_tilde[0] = alpha_tilde
-        rows = []
-        for method, mission_cfg in configs.items():
-            reference = references[mission_cfg.desensitized]
-            if reference is None:
-                rows.append(MonteCarloRecord(i, alpha_tilde, method,
-                                             float("nan"), "failed", 0))
-                continue
-            mission = run_mission(ocp, spec, mission_cfg, p_tilde=p_tilde,
-                                  reference=reference,
-                                  first_warm=first_warm.get(method))
-            rows.append(MonteCarloRecord(
-                run=i, alpha_tilde=alpha_tilde, method=method,
-                epsilon=float("nan") if mission.failed else mission.epsilon,
-                status="failed" if mission.failed else "ok",
-                iterations=int(sum(mission.iterations[1:]))))
-        return rows
+    # each method flies every draw as one lane of its missions
+    p_tildes = np.tile(nominal, (cfg.run_count, 1))
+    p_tildes[:, 0] = draws
 
-    return [record for i in range(cfg.run_count) for record in one_run(i)]
+    def records(method: str, mission_cfg) -> List[MonteCarloRecord]:
+        """The method's record of every draw; its missions, whose flown
+        samples grow with the draw count, are dropped on return."""
+        reference = references[mission_cfg.desensitized]
+        if reference is None:
+            return [MonteCarloRecord(i, float(a), method, float("nan"),
+                                     "failed", 0)
+                    for i, a in enumerate(draws)]
+        missions = run_missions(ocp, spec, mission_cfg, p_tildes,
+                                reference=reference,
+                                first_warm=first_warm.get(method))
+        return [MonteCarloRecord(
+            run=i, alpha_tilde=float(draws[i]), method=method,
+            epsilon=float("nan") if mission.failed else mission.epsilon,
+            status="failed" if mission.failed else "ok",
+            iterations=int(sum(mission.iterations[1:])))
+            for i, mission in enumerate(missions)]
+
+    by_method = [records(m, c) for m, c in configs.items()]
+    return [record for draw in zip(*by_method) for record in draw]
 
 
 def summarize(records: Sequence[MonteCarloRecord]

@@ -41,8 +41,14 @@ class OcpDefinition:
     and ``terminal_cost(x0, t0, xf, tf)`` the Mayer term.  Each takes a
     single point, x of shape (n,), or a stacked batch of P points, x of
     shape (P, n) with u (P, n_u) and t (P,) (both endpoints (P, n) for
-    ``terminal_cost``), one result per row: transcription passes batches,
-    a derivative stencil's in one call, the truth simulation single points.
+    ``terminal_cost``), one result per row.  Transcription passes
+    batches, a derivative stencil's in one call, with the shared
+    parameter vector p (m,).  The truth simulation passes the stacked
+    rows of its lanes, at every lane count including one, with one
+    parameter row per lane, p (P, m); an augmented problem flown as a
+    whole passes that same p to ``jac_x`` and ``jac_p``.  So a callback
+    reads the parameter as ``p[..., j]`` (or ``p[..., j:j + 1]``), which
+    serves both forms.
     ``initial_state`` / ``terminal_state`` pin state components at the
     endpoints (NaN entries are free); the pins and the collocation
     defects are the problem's only constraints, all equalities.
@@ -126,19 +132,22 @@ class DesensitizationSpec:
 # --- built-in example problem ---------------------------------------------
 #
 # Every callback meets the OcpDefinition contract: a single point (n,)
-# or a stacked batch (P, n) in, one result per point out.
+# or a stacked batch (P, n) in, one result per point out, with the
+# parameter read as p[..., :1] or p[..., 0], so that a shared p (m,) and
+# one row per point, p (P, m), both work.
 
 def _example_dynamics(x, u, p, t):
-    return -p[0] ** 2 * x**3 + p[0] * u
+    a = p[..., :1]
+    return -a ** 2 * x**3 + a * u
 
 
 def _example_jac_x(x, u, p, t):
-    a = -3.0 * p[0] ** 2 * np.asarray(x)[..., 0] ** 2
+    a = -3.0 * p[..., 0] ** 2 * np.asarray(x)[..., 0] ** 2
     return a[..., None, None]
 
 
 def _example_jac_p(x, u, p, t):
-    b = -2.0 * p[0] * np.asarray(x)[..., 0] ** 3 + np.asarray(u)[..., 0]
+    b = -2.0 * p[..., 0] * np.asarray(x)[..., 0] ** 3 + np.asarray(u)[..., 0]
     return b[..., None, None]
 
 

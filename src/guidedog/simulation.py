@@ -5,11 +5,20 @@ while the control is read from a solved trajectory.  Integration is
 split at the trajectory's mesh-interval boundaries, and each segment's
 right-hand side reads its own interval's control polynomial, up to and
 including the segment ends: no stage evaluation ever sees the
-neighbouring interval's control.  An explicit Runge-Kutta step knows
-all its stage times before it computes any stage state, so each step
-attempt reads its stage controls from that polynomial in one
-:meth:`Trajectory.interval_values` call; each row equals the same time
-queried alone, bit for bit.
+neighbouring interval's control.
+
+One flight can carry P lanes: P plans on one mesh, each flown from its
+own initial state with its own parameters.  The stepper advances every
+lane with its own time, step size, error test and accept/reject
+sequence, and evaluates each stage of all lanes in one right-hand-side
+call on stacked rows.  Every stage, solution and error sum is a
+per-lane reduction in a fixed order, so a lane's flight is bit for bit
+the same whichever lanes fly beside it; a lane that fails stops alone.
+An explicit Runge-Kutta step knows all its stage times before it
+computes any stage state, so each step attempt reads every lane's stage
+controls in one :func:`~guidedog.trajectory.control_reader` call; each
+row equals the lane's own :meth:`Trajectory.interval_values` query, bit
+for bit.
 
 The integrator is DOP853 (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, §II.4 and §II.10) with the coefficients and
@@ -20,12 +29,13 @@ at the end of the one before, instead of selecting a first step anew.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ocp import OcpDefinition
-from .trajectory import Trajectory
+from .trajectory import Trajectory, control_reader
 
 __all__ = ["SimResult", "check_params", "integrate"]
 
@@ -69,6 +79,7 @@ _E5 = np.array([
 _E3 = np.append(_B, 0.0)
 _E3[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118,
                     0.022058823529411766)
+_A_ROWS = tuple(_A[s, :s] for s in range(12))
 
 
 @dataclass
@@ -118,8 +129,8 @@ def check_params(ocp: OcpDefinition, p_tilde=None) -> np.ndarray:
     return params
 
 
-def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
-              abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> SimResult:
+def integrate(ocp: OcpDefinition, traj, x0, span, p_tilde=None,
+              abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     """Propagate ``xdot = f(x, u(t), p_tilde, t)`` over span.
 
     ``u`` is read from each mesh interval's own control polynomial.
@@ -127,11 +138,21 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
     domain; a non-finite span, ``x0`` or ``p_tilde``, an ``x0`` of the
     wrong shape, or a tolerance that is not positive and finite raises
     ValueError, and a reversed span integrates backward.  A ``rel_tol``
-    below 100 ulp is raised to it.  Raises RuntimeError when the
-    integrator cannot reach the end of a segment.
+    below 100 ulp is raised to it.
+
+    With one :class:`Trajectory`, ``x0`` is (n,) and ``p_tilde`` (m,),
+    and the flight returns a :class:`SimResult` or raises RuntimeError
+    when the integrator cannot reach the end of a segment.  With a
+    sequence of P trajectories, all on one mesh (ValueError otherwise),
+    lane i flies ``traj[i]`` from ``x0[i]`` (x0 is (P, n)) with
+    ``p_tilde[i]`` (P rows, or None for the nominal parameters), and the
+    flight returns one entry per lane: its SimResult, or the
+    RuntimeError that stopped that lane alone.
     """
     t_start, t_end = float(span[0]), float(span[1])
     ocp = getattr(ocp, "ocp", ocp)   # accept an augmented wrapper as-is
+    one = isinstance(traj, Trajectory)
+    trajs = [traj] if one else list(traj)
     if not (0.0 < abs_tol < np.inf and 0.0 < rel_tol < np.inf):
         raise ValueError(
             f"integration tolerances must be positive and finite, got "
@@ -139,130 +160,237 @@ def integrate(ocp: OcpDefinition, traj: Trajectory, x0, span, p_tilde=None,
         )
     if not (np.isfinite(t_start) and np.isfinite(t_end)):
         raise ValueError(f"span [{t_start}, {t_end}] must be finite")
+    if not trajs:
+        raise ValueError("a flight needs at least one lane")
+    first = trajs[0]
+    for other in trajs[1:]:
+        if other.orders != first.orders or not np.array_equal(
+                other.interval_times, first.interval_times):
+            raise ValueError("every lane must fly a plan on the same mesh")
     lo, hi = sorted((t_start, t_end))
-    slack = 1e-9 * (1.0 + max(abs(traj.t0), abs(traj.tf)))
-    if lo < traj.t0 - slack or hi > traj.tf + slack:
+    slack = 1e-9 * (1.0 + max(abs(first.t0), abs(first.tf)))
+    if lo < first.t0 - slack or hi > first.tf + slack:
         raise ValueError(
             f"span [{t_start}, {t_end}] outside trajectory domain "
-            f"[{traj.t0}, {traj.tf}]"
+            f"[{first.t0}, {first.tf}]"
         )
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.shape != (ocp.n_states,):
-        raise ValueError(
-            f"x0 has shape {x.shape}, expected ({ocp.n_states},)")
+    x = np.array(x0, dtype=float)
+    want = (ocp.n_states,) if one else (len(trajs), ocp.n_states)
+    if one:
+        x = np.atleast_1d(x)
+    if x.shape != want:
+        raise ValueError(f"x0 has shape {x.shape}, expected {want}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {x}")
-    params = check_params(ocp, p_tilde)
+    rows = ([p_tilde] if one else [None] * len(trajs) if p_tilde is None
+            else list(p_tilde))
+    if len(rows) != len(trajs):
+        raise ValueError(f"p_tilde has {len(rows)} rows for {len(trajs)} lanes")
+    params = np.stack([check_params(ocp, row) for row in rows])
     rtol = max(float(rel_tol), 100.0 * np.finfo(float).eps)
 
     # split at interior mesh boundaries so each segment lies in one
     # interval and flies that interval's control polynomial
-    bounds = np.asarray(traj.interval_times, dtype=float)
+    bounds = np.asarray(first.interval_times, dtype=float)
     interior = bounds[(bounds > lo + 1e-12) & (bounds < hi - 1e-12)]
     cuts = np.concatenate(([t_start], interior if t_end >= t_start
                            else interior[::-1], [t_end]))
 
-    def rhs(t, x, u):
-        return np.atleast_1d(np.asarray(ocp.dynamics(x, u, params, t),
-                                        dtype=float))
-
-    times = [t_start]
-    states = [x]
+    lanes = np.arange(len(trajs))
+    x = x.reshape(len(trajs), -1)
+    steps = [(lanes, np.full(lanes.size, t_start), x)]
+    failures = {}
     h_abs = None   # only the first segment selects its first step
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if a == b:
+        if a == b or not lanes.size:
             continue
-        k = int(traj.locate(0.5 * (a + b)))
-        h_abs = _dop853(
-            rhs, lambda ts: traj.interval_values(k, ts, control=True),
-            float(a), x, float(b), rtol, abs_tol, h_abs, times, states)
-        x = states[-1]
+        k = int(first.locate(0.5 * (a + b)))
 
-    t_grid = np.array(times)
-    x_grid = np.vstack(states)
-    u_grid = traj.control_at(t_grid)
-    return SimResult(t_start=t_start, t_end=t_end, times=t_grid,
-                     states=x_grid, controls=u_grid)
+        def bind(ids, k=k):
+            return params[ids], control_reader([trajs[i] for i in ids], k)
+
+        lanes, x, h_abs = _dop853(ocp.dynamics, bind, lanes, float(a), x,
+                                  float(b), rtol, abs_tol, h_abs, steps,
+                                  failures)
+
+    # each lane's accepted steps, in time order
+    ids = np.concatenate([chunk[0] for chunk in steps])
+    order = np.argsort(ids, kind="stable")
+    t_all = np.concatenate([chunk[1] for chunk in steps])[order]
+    x_all = np.concatenate([chunk[2] for chunk in steps])[order]
+    ends = np.searchsorted(ids[order], np.arange(len(trajs) + 1))
+    out = []
+    for i, lane in enumerate(trajs):
+        if i in failures:
+            out.append(RuntimeError(failures[i]))
+            continue
+        t_grid = t_all[ends[i]:ends[i + 1]]
+        out.append(SimResult(t_start=t_start, t_end=t_end, times=t_grid,
+                             states=x_all[ends[i]:ends[i + 1]],
+                             controls=lane.control_at(t_grid)))
+    if one and isinstance(out[0], RuntimeError):
+        raise out[0]
+    return out[0] if one else out
+
+
+def _squared_norms(v):
+    """Each row's squared 2-norm: one ``matmul`` dot product per row,
+    the same sum as ``np.linalg.norm`` of that row alone."""
+    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0].tolist()
 
 
 def _rms(v):
-    return np.linalg.norm(v) / v.size ** 0.5
+    """Root mean square of each row, as ``norm(row) / size ** 0.5``."""
+    return [math.sqrt(d) / v.shape[1] ** 0.5 for d in _squared_norms(v)]
 
 
-def _initial_step(fun, control, t, y, f, t_end, direction, rtol, atol):
+def _initial_step(dynamics, p, control, t, y, f, t_end, direction, rtol,
+                  atol):
     """scipy's first-step rule for an order-7 error estimate
-    (Hairer, Nørsett & Wanner, §II.4)."""
+    (Hairer, Nørsett & Wanner, §II.4), one step size per lane."""
     length = abs(t_end - t)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    t1 = t + h0 * direction
-    f1 = fun(t1, y + h0 * direction * f, control(t1))
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, length)
+    h0 = [min(1e-6 if r0 < 1e-5 or r1 < 1e-5 else 0.01 * r0 / r1, length)
+          for r0, r1 in zip(d0, d1)]
+    step = np.array(h0) * direction
+    t1 = t + step
+    f1 = dynamics(y + step[:, None] * f, control(t1[:, None])[:, 0], p, t1)
+    out = []
+    for h, r1, r2 in zip(h0, d1, _rms((f1 - f) / scale)):
+        r2 = r2 / h
+        if r1 <= 1e-15 and r2 <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(r1, r2)) ** (1 / 8)
+        out.append(min(100 * h, h1, length))
+    return out
 
 
-def _dop853(fun, control, t, y, t_end, rtol, atol, h_abs, times, states):
-    """Fly ``y' = fun(t, y, u)`` from ``(t, y)`` to ``t_end`` by DOP853,
-    appending each accepted step's time and state to ``times`` and
-    ``states``, and return the step size the controller proposes next.
-    ``u`` is a row of ``control(times)``, which each step attempt calls
-    once on all its stage times (the last, c = 1, is the step's end).
+def _dop853(dynamics, bind, lanes, t, y, t_end, rtol, atol, h_abs, steps,
+            failures):
+    """Fly lanes ``lanes`` (flight-wide ids) from their states ``y``
+    (L, n) at time ``t`` to ``t_end`` by DOP853, each lane with its own
+    time, step size, error test and accept/reject sequence.
 
-    The first step is ``h_abs``, or scipy's choice when it is None.
-    The step rule is scipy's: safety 0.9, step factor in [0.2, 10],
-    exponent -1/8, no step below 10 ulp of t.  A step or state that
-    is not finite, or a step below 10 ulp, raises RuntimeError."""
+    ``bind(ids)`` returns the parameter rows and the control reader
+    (:func:`~guidedog.trajectory.control_reader`) of those lanes, and
+    each stage calls ``dynamics(x, u, p, t)`` once on the stacked rows
+    of every lane still flying.  Each step attempt reads all its stage
+    controls in one reader call (the last stage, c = 1, is the step's
+    end).  Every accepted step appends ``(ids, times, states)`` of its
+    lanes to ``steps``.  Returns the ids, end states and next step sizes
+    of the lanes that reach ``t_end``.
+
+    The first step is ``h_abs[i]``, or scipy's choice when ``h_abs`` is
+    None.  The step rule is scipy's: safety 0.9, step factor in
+    [0.2, 10], exponent -1/8, no step below 10 ulp of t.  A lane whose
+    step or state is not finite, or whose step falls below 10 ulp,
+    stops there: ``failures[id]`` gets its message, and the other lanes
+    fly on.  The step rule runs on each lane's own Python floats, and
+    every stage, solution and error sum is a ``matmul`` over the lane's
+    own block of the lane-major K (L, 13, n), which sums as
+    ``np.dot(K_lane.T, weights)`` does: no lane's arithmetic depends on
+    the others, and one lane takes scipy's steps."""
     t0 = t
     direction = 1.0 if t_end > t else -1.0
-    f = fun(t, y, control(t))
+    toward = direction * math.inf
+    p, control = bind(lanes)
+    t_now = np.full(lanes.size, t)
+    f = np.empty_like(y)
+    f[...] = dynamics(y, control(t_now[:, None])[:, 0], p, t_now)
     if h_abs is None:
-        h_abs = _initial_step(fun, control, t, y, f, t_end, direction,
-                              rtol, atol)
-    K = np.empty((13, y.size))
-    while direction * (t - t_end) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:   # also false for a NaN step
-                raise RuntimeError(
-                    f"integration failed on [{t0}, {t_end}]: step {h_abs} "
-                    f"at t = {t} is not finite or below 10 ulp")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = np.abs(h)
-            stage_t = t + _C * h
-            U = control(stage_t)
-            K[0] = f
-            for s in range(1, 12):
-                dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = fun(stage_t[s], y + dy, U[s])
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = fun(stage_t[-1], y_new, U[-1])
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
-            denom = (err5 + 0.01 * err3) * scale.size
-            error_norm = h_abs * err5 / np.sqrt(denom) if denom else 0.0
-            factor = 10 if error_norm == 0 else 0.9 * error_norm ** -0.125
-            if error_norm < 1:
-                h_abs *= min(1 if rejected else 10, factor)
+        h_abs = _initial_step(dynamics, p, control, t, y, f, t_end,
+                              direction, rtol, atol)
+    h_abs = list(h_abs)
+    width = y.shape[1]
+    times = [t] * lanes.size
+    rejected = [False] * lanes.size
+    reached, finished, K = [], [], None
+    while True:
+        # drop the lanes that finished, then choose each lane's next step
+        keep, t_new, h = [], [], []
+        for i, (ti, hi) in enumerate(zip(times, h_abs)):
+            if i in finished:
+                continue
+            min_step = 10 * abs(math.nextafter(ti, toward) - ti)
+            if not rejected[i]:
+                hi = max(hi, min_step)
+            if not hi >= min_step:   # also false for a NaN step
+                failures[int(lanes[i])] = (
+                    f"integration failed on [{t0}, {t_end}]: step {hi} "
+                    f"at t = {ti} is not finite or below 10 ulp")
+                continue
+            tn = ti + hi * direction
+            if direction * (tn - t_end) > 0:
+                tn = t_end
+            keep.append(i)
+            t_new.append(tn)
+            h.append(tn - ti)
+        if len(keep) < len(times):
+            reached += [(int(lanes[i]), y[i], h_abs[i]) for i in finished
+                        if int(lanes[i]) not in failures]
+            if not keep:
                 break
-            h_abs *= max(0.2, factor)
-            rejected = True
-        if not np.all(np.isfinite(y_new)):
-            raise RuntimeError(
-                f"integration failed on [{t0}, {t_end}]: state {y_new} "
-                f"at t = {t_new} is not finite")
-        t, y, f = t_new, y_new, f_new
-        times.append(t)
-        states.append(y)
-    return h_abs
+            lanes, y, f = lanes[keep], y[keep], f[keep]
+            times = [times[i] for i in keep]
+            rejected = [rejected[i] for i in keep]
+            h_abs = [h_abs[i] for i in keep]
+            p, control = bind(lanes)
+            K = None
+        if K is None:
+            K = np.empty((y.shape[0], 13, width))
+            sums = [K[:, :s] for s in range(13)]
+
+        hc = np.array(h)[:, None]
+        stage_t = np.array(times)[:, None] + _C * hc
+        U = control(stage_t).transpose(1, 0, 2)
+        stage_t = stage_t.T
+        K[:, 0] = f
+        for s in range(1, 12):
+            K[:, s] = dynamics(y + np.matmul(_A_ROWS[s], sums[s]) * hc,
+                               U[s], p, stage_t[s])
+        y_new = y + hc * np.matmul(_B, sums[12])
+        K[:, 12] = dynamics(y_new, U[11], p, stage_t[11])
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5s = _squared_norms(np.matmul(_E5, K) / scale)
+        err3s = _squared_norms(np.matmul(_E3, K) / scale)
+        rows = y_new.tolist()
+
+        # accept or reject each lane's attempt (norm(v) ** 2, as scipy)
+        accepted, finished = [], []
+        for i, (err5, err3) in enumerate(zip(err5s, err3s)):
+            err5, err3 = math.sqrt(err5) ** 2, math.sqrt(err3) ** 2
+            h_i = abs(h[i])
+            denom = (err5 + 0.01 * err3) * width
+            e = h_i * err5 / math.sqrt(denom) if denom else 0.0
+            factor = 10 if e == 0 else 0.9 * e ** -0.125
+            if not e < 1:
+                h_abs[i] = h_i * max(0.2, factor)
+                rejected[i] = True
+                continue
+            h_abs[i] = h_i * min(1 if rejected[i] else 10, factor)
+            rejected[i] = False
+            if not all(map(math.isfinite, rows[i])):
+                failures[int(lanes[i])] = (
+                    f"integration failed on [{t0}, {t_end}]: state "
+                    f"{y_new[i]} at t = {t_new[i]} is not finite")
+                finished.append(i)
+                continue
+            accepted.append(i)
+            times[i] = t_new[i]
+            if direction * (t_new[i] - t_end) >= 0:
+                finished.append(i)
+        if len(accepted) == len(times):
+            y, f = y_new, K[:, 12].copy()
+            steps.append((lanes, np.array(t_new), y))
+        elif accepted:
+            y, f = y.copy(), f.copy()
+            y[accepted], f[accepted] = y_new[accepted], K[accepted, 12]
+            steps.append((lanes[accepted], np.array(t_new)[accepted],
+                          y_new[accepted]))
+    reached.sort(key=lambda lane: lane[0])
+    return (np.array([lane[0] for lane in reached], dtype=int),
+            np.array([lane[1] for lane in reached]).reshape(
+                len(reached), y.shape[1]),
+            [lane[2] for lane in reached])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .lgr import barycentric_eval, basis, interval_node_times
 
-__all__ = ["Trajectory"]
+__all__ = ["Trajectory", "control_reader"]
 
 
 @dataclass
@@ -78,13 +78,17 @@ class Trajectory:
         a, b = self.interval_times[k], self.interval_times[k + 1]
         return 2.0 * (t - a) / (b - a) - 1.0
 
+    def _clamped_tau(self, k: int, t):
+        """Local tau of times ``t`` in interval k, clamped to [-1, 1]."""
+        return np.minimum(np.maximum(self._local_tau(k, t), -1.0), 1.0)
+
     def interval_values(self, k: int, times, control: bool = False):
         """Interval k's full-state (or control) polynomial at ``times``.
 
         Reads interval k even at its right end, where the locating
         methods switch to k + 1; times outside it are clamped to it.
         """
-        tau = self._local_tau(k, np.asarray(times, dtype=float)).clip(-1.0, 1.0)
+        tau = self._clamped_tau(k, np.asarray(times, dtype=float))
         bas = basis(self.orders[k])
         if control:
             return barycentric_eval(self._control_taus[k], bas.node_bary,
@@ -128,3 +132,19 @@ class Trajectory:
         """Stacked full-state and control samples at the given times."""
         return self.full_state_at(times), self.control_at(times)
 
+
+def control_reader(trajs, k: int):
+    """Interval k's control polynomial of every trajectory in ``trajs``,
+    a lane each, as one function of ``times`` (P, q) returning
+    (P, q, n_controls).
+
+    Lane i reads ``trajs[i]`` at ``times[i]`` exactly as
+    ``trajs[i].interval_values(k, times[i], control=True)`` would, bit
+    for bit.  The trajectories must share one mesh; the caller checks
+    that.
+    """
+    first = trajs[0]
+    nodes, weights = first._control_taus[k], basis(first.orders[k]).node_bary
+    values = np.stack([traj.control_values[k] for traj in trajs])
+    return lambda times: barycentric_eval(
+        nodes, weights, values, first._clamped_tau(k, times))

@@ -11,6 +11,7 @@ from guidedog.guidance import (
     nominal_first_resolve,
     restart_conditions,
     run_mission,
+    run_missions,
     solve_reference,
 )
 from guidedog.montecarlo import PRESETS, study_mesh
@@ -75,6 +76,11 @@ def test_cycle_bounds_errors():
         cycle_bounds(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         cycle_bounds(0, 0.0, float("nan"))
+    # the index must be an integer, as GuidanceConfig.cycle_count is
+    for s in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            cycle_bounds(s, 0.0, 4.0)
+    assert cycle_bounds(np.int64(2), 0.0, 4.0) == (8.0, 12.0)
 
 
 def test_config_validation_and_flags():
@@ -516,3 +522,61 @@ def test_study_mesh_dog_first_resolve_stages_from_the_stepped_profile():
     mission = run_mission(ocp, spec, cfg, p_tilde=np.array([2.0178]))
     assert not mission.failed, mission.message
     assert mission.iterations[1] <= 45
+
+
+def _same_mission(got, alone):
+    assert got.failed == alone.failed and got.message == alone.message
+    assert got.statuses == alone.statuses
+    assert got.iterations == alone.iterations
+    assert np.array_equal(got.epsilon, alone.epsilon, equal_nan=True)
+    for name in ("times", "states", "controls"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+
+
+def test_a_failed_resolve_drops_its_lane_from_later_flights(problem,
+                                                            monkeypatch):
+    # three OG missions in lock step; the middle one's first re-solve
+    # fails.  It stops there, later flights carry two lanes, and the
+    # other two are the missions flown alone, bit for bit.
+    ocp, _ = problem
+    cfg = GuidanceConfig(method="OG", cycle_count=3)
+    reference = solve_reference(ocp, None, cfg)
+    p_tildes = [np.array([2.01]), np.array([1.98]), np.array([2.03])]
+    alone = [run_mission(ocp, None, cfg, p_tilde=p, reference=reference)
+             for p in p_tildes]
+    real_resolve, real_integrate = guidance._resolve_cycle, guidance.integrate
+    resolves, flights = [], []
+
+    def resolve(*args, **kwargs):
+        resolves.append(1)
+        if len(resolves) == 2:
+            raise RuntimeError("guidance re-solve did not converge: test")
+        return real_resolve(*args, **kwargs)
+
+    def flight(ocp, trajs, x0, *args, **kwargs):
+        flights.append(len(trajs))
+        return real_integrate(ocp, trajs, x0, *args, **kwargs)
+
+    monkeypatch.setattr(guidance, "_resolve_cycle", resolve)
+    monkeypatch.setattr(guidance, "integrate", flight)
+    missions = run_missions(ocp, None, cfg, p_tildes, reference=reference)
+    assert flights == [3, 2, 2, 2]
+    assert missions[1].failed and missions[1].failure_cycle == 0
+    assert missions[1].message == "guidance re-solve did not converge: test"
+    assert np.isnan(missions[1].epsilon)
+    assert missions[1].times[-1] == 4.0
+    _same_mission(missions[0], alone[0])
+    _same_mission(missions[2], alone[2])
+
+
+def test_lanes_fly_the_missions_flown_alone(problem):
+    # every method, nominal and perturbed draws, in one lock-step call
+    ocp, spec = problem
+    p_tildes = [np.array([2.0178]), None, np.array([1.99])]
+    for method in ("OC", "DOG"):
+        cfg = GuidanceConfig(method=method, cycle_count=3)
+        reference = solve_reference(ocp, spec, cfg)
+        missions = run_missions(ocp, spec, cfg, p_tildes, reference=reference)
+        for got, p in zip(missions, p_tildes):
+            _same_mission(got, run_mission(ocp, spec, cfg, p_tilde=p,
+                                           reference=reference))

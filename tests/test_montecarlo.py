@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from guidedog import guidance, montecarlo
-from guidedog.guidance import GuidanceConfig, run_mission, solve_reference
+from guidedog.guidance import METHODS
+from guidedog.guidance import (GuidanceConfig, run_mission, run_missions,
+                               solve_reference)
 from guidedog.montecarlo import (PRESETS, MethodSummary, MonteCarloConfig,
                                  MonteCarloRecord, run_campaign, sample_alpha,
                                  study_mesh, summarize)
@@ -60,6 +62,29 @@ def test_each_draw_keyed_by_seed_and_run_index():
 def test_sample_alpha_rejects_negative_sigma():
     with pytest.raises(ValueError):
         sample_alpha(1, 5, 2.0, -0.1)
+
+
+@pytest.mark.parametrize("seed, run_count, alpha, sigma", [
+    (1, 3, 2.0, float("nan")),
+    (1, 3, 2.0, float("inf")),
+    (1, 3, float("inf"), 0.1),
+    (1, 3, float("nan"), 0.1),
+    (-1, 2, 2.0, 0.1),
+    (2**64, 2, 2.0, 0.1),
+    (1.0, 2, 2.0, 0.1),
+    (1, 2.5, 2.0, 0.1),
+    (1, -1, 2.0, 0.1),
+], ids=["nan-sigma", "inf-sigma", "inf-alpha", "nan-alpha", "negative-seed",
+        "seed-2**64", "float-seed", "fractional-count", "negative-count"])
+def test_sample_alpha_rejects_what_the_campaign_config_rejects(
+        seed, run_count, alpha, sigma):
+    # each used to return NaN or inf draws, draw from an undefined
+    # Philox key, or raise OverflowError or TypeError
+    with pytest.raises(ValueError):
+        sample_alpha(seed, run_count, alpha, sigma)
+    # valid neighbours keep their draws
+    assert sample_alpha(2**63, 2, 2.0, 0.1).shape == (2,)
+    assert sample_alpha(0, 0, 2.0, 0.0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +276,24 @@ def _fig3a_guided(run_count, **guidance_fields):
 
 
 def _spied_campaign(monkeypatch, ocp, spec, cfg, guidance_cfg):
-    """Run a campaign, returning its records and every (kwargs, mission)
-    ``montecarlo.run_mission`` saw; every patch of ``monkeypatch`` is
-    undone afterwards."""
-    calls = []
+    """Run a campaign, returning its records and a (kwargs, mission)
+    pair for every mission that ``montecarlo.run_missions`` flew, in
+    (draw, method) order; every patch of ``monkeypatch`` is undone
+    afterwards."""
+    flown = []
 
-    def spy(*args, **kwargs):
-        mission = run_mission(*args, **kwargs)
-        calls.append((kwargs, mission))
-        return mission
+    def spy(ocp, spec, mission_cfg, p_tildes, **kwargs):
+        missions = run_missions(ocp, spec, mission_cfg, p_tildes, **kwargs)
+        rank = cfg.methods.index(mission_cfg.method)
+        flown.extend(((i, rank), kwargs, mission)
+                     for i, mission in enumerate(missions))
+        return missions
 
-    monkeypatch.setattr(montecarlo, "run_mission", spy)
+    monkeypatch.setattr(montecarlo, "run_missions", spy)
     records = run_campaign(ocp, spec, cfg, guidance=guidance_cfg)
     monkeypatch.undo()
-    return records, calls
+    flown.sort(key=lambda call: call[0])
+    return records, [(kwargs, mission) for _, kwargs, mission in flown]
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +337,20 @@ def test_shorter_guided_campaign_is_a_prefix_of_a_longer_one(
     _, _, cfg5, _ = _fig3a_guided(5)
     longer = run_campaign(ocp, spec, cfg5, guidance=guidance_cfg)
     assert longer[:len(records)] == records
+
+
+def test_one_draw_campaign_is_a_prefix_of_a_three_draw_one():
+    # one lane against three lanes per method: every method's first
+    # draw flies alone or beside two others with the same bits
+    ocp, make_spec = example_problem()
+    q, beta = PRESETS["fig3a"]
+    spec = make_spec(beta=beta, q=q)
+    guidance_cfg = GuidanceConfig(mesh=study_mesh())
+    one, three = (run_campaign(ocp, spec, MonteCarloConfig(
+        run_count=n, q=q, beta=beta, seed=3), guidance=guidance_cfg)
+        for n in (1, 3))
+    assert len(one) == 4 and [r.method for r in one] == list(METHODS)
+    assert three[:4] == one
 
 
 def test_failed_shared_resolve_flies_every_draw_from_the_reference(

@@ -230,7 +230,7 @@ def test_finite_time_blowup_raises_runtime_error():
 
 
 def test_perturbed_parameter_changes_the_flow():
-    ocp = _plant(lambda x, u, p, t: -p[0] * x)
+    ocp = _plant(lambda x, u, p, t: -p[..., :1] * x)
     traj = _trajectory(ocp, build_mesh(0.0, 1.0, 2, 3))
     nominal = integrate(ocp, traj, np.array([1.0]), (0.0, 1.0))
     perturbed = integrate(ocp, traj, np.array([1.0]), (0.0, 1.0),
@@ -275,8 +275,8 @@ def test_each_segment_flies_its_own_interval_control():
     seen = []
 
     def dyn(x, u, p, t):
-        seen.append((t, float(u[0])))
-        return np.array([u[0]])
+        seen.extend(zip(t.tolist(), u[:, 0].tolist()))
+        return u[:, :1]
 
     ocp = _plant(dyn, tf=2.0)
     mesh = build_mesh(0.0, 2.0, 2, 2)
@@ -300,8 +300,8 @@ def test_truth_plant_flies_interval_values_bitwise():
     seen = []
 
     def dyn(x, u, p, t):
-        seen.append((t, u.copy()))
-        return -x + u[0] - 0.5 * u[1]
+        seen.extend(zip(t, u.copy()))
+        return -x + u[:, :1] - 0.5 * u[:, 1:]
 
     ocp = _plant(dyn, tf=3.0, n_controls=2)
     mesh = build_mesh(0.0, 3.0, 3, (3, 9, 12))
@@ -334,8 +334,10 @@ def _one_interval_plant():
     """A two-state plant on a one-interval trajectory over [0, 3], and
     scipy's DOP853 flight of it under that interval's control."""
     def dyn(x, u, p, t):
-        return np.array([-p[0] * x[0] + np.sin(x[1]) * u[0],
-                         x[0] * x[1] - 0.3 * u[0] ** 2])
+        # one point (scipy's reference) or stacked rows (the truth plant)
+        return np.stack([-p[..., 0] * x[..., 0] + np.sin(x[..., 1]) * u[..., 0],
+                         x[..., 0] * x[..., 1] - 0.3 * u[..., 0] ** 2],
+                        axis=-1)
 
     ocp = OcpDefinition(
         n_states=2, n_controls=1, n_params=1, dynamics=dyn,
@@ -375,7 +377,8 @@ def test_each_step_attempt_reads_its_controls_in_one_call(span, tol):
     # the first derivative and the first-step probe read one time each;
     # every step attempt then reads its twelve stage times in one call,
     # the last (c = 1) also serving the derivative at the step's end.
-    # scipy's nfev, 2 + 12 per attempt, counts the attempts.
+    # scipy's nfev, 2 + 12 per attempt, counts the attempts.  One lane,
+    # so every read is one row.
     ocp, traj, reference = _one_interval_plant()
     reads, calls = [], []
 
@@ -383,21 +386,23 @@ def test_each_step_attempt_reads_its_controls_in_one_call(span, tol):
         reads.append(np.shape(times))
         return traj.interval_values(0, times, control=True)
 
-    def fun(t, x, u):
-        calls.append((t, u.copy()))
-        return ocp.dynamics(x, u, ocp.nominal_params, t)
+    def dyn(x, u, p, t):
+        calls.append((t.copy(), u.copy()))
+        return ocp.dynamics(x, u, p, t)
 
     x0 = np.array([1.0, -0.5])
-    times, states = [span[0]], [x0]
-    simulation._dop853(fun, control, span[0], x0, span[1], tol, tol, None,
-                       times, states)
+    steps = []
+    simulation._dop853(dyn, lambda ids: (ocp.nominal_params[None], control),
+                       np.arange(1), span[0], x0[None], span[1], tol, tol,
+                       None, steps, {})
     attempts, rest = divmod(reference(x0, span, tol).nfev - 2, 12)
-    assert rest == 0 and attempts >= len(times) - 1
-    assert reads == [()] * 2 + [(12,)] * attempts
+    assert rest == 0 and attempts >= len(steps)
+    assert reads == [(1, 1)] * 2 + [(1, 12)] * attempts
     assert len(calls) == 2 + 12 * attempts
     for t, u in calls:
-        want = traj.interval_values(0, t, control=True)
-        assert u.tobytes() == want.tobytes()
+        assert t.shape == (1,) and u.shape == (1, 1)
+        want = traj.interval_values(0, t[0], control=True)
+        assert u[0].tobytes() == want.tobytes()
 
 
 @st.composite
@@ -430,7 +435,7 @@ def test_flights_across_every_cut_match_closed_form(flight):
     controls = np.concatenate([p(t) for p, t in zip(polys, nodes)])[:, None]
     span = (mesh.t0, mesh.tf)
 
-    ocp = _plant(lambda x, u, p, t: np.array([u[0]]), tf=mesh.tf)
+    ocp = _plant(lambda x, u, p, t: u[..., :1], tf=mesh.tf)
     traj = _trajectory(ocp, mesh, controls)
     x0 = rng.uniform(-1.0, 1.0)
     exact = x0 + sum(p.integ()(b) - p.integ()(a)
@@ -443,7 +448,7 @@ def test_flights_across_every_cut_match_closed_form(flight):
     # at most e^2 of decay, so that flying back amplifies the step
     # errors by no more than e^2
     rate = rng.uniform(0.05, 2.0) / (mesh.tf - mesh.t0)
-    ocp = _plant(lambda x, u, p, t: -p[0] * x, tf=mesh.tf)
+    ocp = _plant(lambda x, u, p, t: -p[..., :1] * x, tf=mesh.tf)
     traj = _trajectory(ocp, mesh, controls)
     decayed = x0 * np.exp(-rate * (mesh.tf - mesh.t0))
     fwd = integrate(ocp, traj, np.array([x0]), span, p_tilde=[rate])
@@ -451,6 +456,91 @@ def test_flights_across_every_cut_match_closed_form(flight):
                      p_tilde=[rate])
     assert abs(fwd.terminal_state[0] - decayed) <= 1e-8
     assert abs(back.terminal_state[0] - x0) <= 1e-8
+
+
+def _two_state_plant(tf):
+    """A nonlinear two-state plant whose decay rate each lane sets, in
+    the batch form the truth plant calls."""
+    def dyn(x, u, p, t):
+        a = p[..., 0]
+        return np.stack([-a * x[..., 0] + np.sin(x[..., 1]) * u[..., 0],
+                         -a * x[..., 1] + np.cos(x[..., 0]) * u[..., 0] ** 2],
+                        axis=-1)
+
+    return OcpDefinition(
+        n_states=2, n_controls=1, n_params=1, dynamics=dyn,
+        jac_x=None, jac_p=None, running_cost=None, terminal_cost=None,
+        nominal_params=np.array([1.0]), time_domain=(0.0, tf))
+
+
+def _same_flight(got, alone):
+    """A stacked lane's entry against the same lane flown alone: the
+    same bytes, or the same failure message."""
+    if isinstance(alone, RuntimeError):
+        assert isinstance(got, RuntimeError) and str(got) == str(alone)
+        return
+    for name in ("times", "states", "controls"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(flights(), st.integers(1, 8), st.booleans())
+def test_each_lane_flies_as_it_would_alone(flight, count, backward):
+    # P lanes, each with its own plan on one mesh, its own parameter and
+    # its own start, stacked in a random order: every lane's times,
+    # states and controls are the bytes of the same lane flown alone
+    mesh, rng = flight
+    ocp = _two_state_plant(mesh.tf)
+    plans = [_trajectory(ocp, mesh,
+                         rng.uniform(-1.0, 1.0, (sum(mesh.orders), 1)))
+             for _ in range(count)]
+    x0 = rng.uniform(-1.0, 1.0, (count, 2))
+    # at most e^2 of decay, which a backward flight turns into growth
+    alpha = rng.uniform(0.05, 2.0, (count, 1)) / (mesh.tf - mesh.t0)
+    order = rng.permutation(count)
+    span = (mesh.tf, mesh.t0) if backward else (mesh.t0, mesh.tf)
+    stacked = integrate(ocp, [plans[i] for i in order], x0[order], span,
+                        p_tilde=alpha[order])
+    assert len(stacked) == count
+    for got, i in zip(stacked, order):
+        try:
+            alone = integrate(ocp, plans[i], x0[i], span, p_tilde=alpha[i])
+        except RuntimeError as exc:
+            alone = exc
+        _same_flight(got, alone)
+
+
+def test_a_lane_that_blows_up_fails_alone():
+    # x' = a (1 + x^2) from 0 diverges at t = pi / (2 a): inside [0, 2]
+    # for a = 1, not for a = 0.5 or 0.25.  The diverging lane fails
+    # with its own flight's message; the others fly on unchanged.
+    ocp = _plant(lambda x, u, p, t: p[..., :1] * (1.0 + x ** 2), tf=2.0)
+    traj = _trajectory(ocp, build_mesh(0.0, 2.0, 3, 4))
+    alpha = np.array([[0.5], [1.0], [0.25]])
+    stacked = integrate(ocp, [traj] * 3, np.zeros((3, 1)), (0.0, 2.0),
+                        p_tilde=alpha)
+    with pytest.raises(RuntimeError) as alone:
+        integrate(ocp, traj, np.zeros(1), (0.0, 2.0), p_tilde=alpha[1])
+    assert "integration failed on" in str(alone.value)
+    _same_flight(stacked[1], alone.value)
+    for i in (0, 2):
+        _same_flight(stacked[i], integrate(ocp, traj, np.zeros(1), (0.0, 2.0),
+                                           p_tilde=alpha[i]))
+        assert stacked[i].terminal_state[0] == pytest.approx(
+            np.tan(2.0 * alpha[i, 0]), rel=1e-8)
+
+
+def test_lanes_must_share_a_mesh():
+    ocp = _plant(lambda x, u, p, t: -x, tf=2.0)
+    plans = [_trajectory(ocp, build_mesh(0.0, 2.0, 2, 3)),
+             _trajectory(ocp, build_mesh(0.0, 2.0, 2, 4))]
+    with pytest.raises(ValueError, match="same mesh"):
+        integrate(ocp, plans, np.ones((2, 1)), (0.0, 2.0))
+    with pytest.raises(ValueError, match="shape"):
+        integrate(ocp, plans[:1] * 2, np.ones((3, 1)), (0.0, 2.0))
+    with pytest.raises(ValueError, match="rows"):
+        integrate(ocp, plans[:1] * 2, np.ones((2, 1)), (0.0, 2.0),
+                  p_tilde=np.ones((3, 1)))
 
 
 def test_guidance_modules_do_not_import_scipy_integrate():
