@@ -16,7 +16,8 @@ Lagrangian Hessian estimated there (one or two iterations at the
 nominal parameter); the unseeded plain solve, from that warm start or
 the linear guess; and for desensitized methods the seeded augmented
 solve from the plain solution, with S stepped stably along it through
-the true sensitivity dynamics.
+the true sensitivity dynamics.  The polish takes any number of lanes
+at once; the later attempts run for one lane at a time.
 
 Re-solves keep the reference mesh's interval fractions and orders,
 compressed onto the remaining horizon, and are warm-started from the
@@ -26,8 +27,14 @@ previous solution evaluated at that mesh's node times
 Missions that share a reference fly in lock step (:func:`run_missions`):
 at every cycle all their plans lie on the same compressed mesh, so one
 stacked truth flight carries each mission still flying as a lane, and
-then each mission makes its own re-solve.  A single mission
-(:func:`run_mission`) is the one-lane case.
+then one re-solve serves them all.  The lanes' re-solve problems differ
+only in their pinned x(t_k) and S(t_k), so one lane-stacked
+transcription holds them, every lane's warm start is read in one
+lane-axis pass, and their polishes run as the lanes of one lock-stepped
+SQP solve (:func:`~guidedog.sqp.solve_lanes`); a lane whose polish
+fails runs the rest of the chain alone.  A lane's result does not
+depend on the others, so every mission equals the one flown alone, bit
+for bit.  A single mission (:func:`run_mission`) is the one-lane case.
 """
 from __future__ import annotations
 
@@ -40,8 +47,9 @@ import numpy as np
 from .ocp import OcpDefinition
 from .sensitivity import augment
 from .simulation import check_params, integrate
-from .sqp import SolverOptions, estimate_multipliers, initial_guess, solve
-from .trajectory import Trajectory
+from .sqp import (SolverOptions, estimate_multipliers, initial_guess, solve,
+                  solve_lanes)
+from .trajectory import Trajectory, sample_lanes
 from .transcription import (
     Mesh,
     example_mesh,
@@ -179,17 +187,22 @@ def restart_conditions(prev_solution: Trajectory, sim, t_handoff: float):
     return x0, s0
 
 
-def _warm_vector(traj: Trajectory, nlp, first_row: np.ndarray) -> np.ndarray:
-    """Previous solution interpolated onto the new mesh, first row pinned.
+def _warm_vectors(warms, nlp, first_rows) -> np.ndarray:
+    """Each lane's previous solution ``warms[i]`` interpolated onto the
+    new mesh, its first state row pinned to ``first_rows[i]``: a
+    (P, n_vars) stack, read in one lane-axis pass (:func:`sample_lanes`).
 
     Only the NLP's own state columns are kept, so a plain problem can
-    start from a desensitized trajectory.
+    start from a desensitized trajectory.  The warm starts must share
+    one mesh.
     """
     sup, col = nlp.mesh.node_times()
-    states = traj.full_state_at(np.minimum(sup, traj.tf))[:, : nlp.layout.n_aug]
-    states[0] = first_row
-    controls = traj.control_at(np.minimum(col, traj.tf))
-    return pack_values(nlp.layout, states, controls)
+    tf = warms[0].tf
+    states = sample_lanes(warms, np.minimum(sup, tf))[:, :, : nlp.layout.n_aug]
+    states[:, 0] = first_rows
+    controls = sample_lanes(warms, np.minimum(col, tf), control=True)
+    return np.concatenate([states.reshape(len(warms), -1),
+                           controls.reshape(len(warms), -1)], axis=1)
 
 
 def _jac_profiles(ocp: OcpDefinition, traj: Trajectory, k: int,
@@ -262,59 +275,88 @@ def _staged_sensitivity_guess(nlp_aug, traj: Trajectory) -> np.ndarray:
 POLISH_ITERATIONS = 25
 
 
-def _seeded_solve(nlp, z: np.ndarray, solver: SolverOptions):
-    """Solve from z, seeded with multipliers and Hessian estimated at z."""
-    multipliers = estimate_multipliers(nlp, z)
-    return solve(nlp, z, solver, hessian0=nlp.lagrangian_hessian(z, multipliers),
-                 multipliers0=multipliers)
+def _seeded_solve(nlp, Z: np.ndarray, solver: SolverOptions) -> list:
+    """Solve every lane of ``nlp`` from its row of Z, seeded with the
+    multipliers and Lagrangian Hessian estimated there; one solution
+    per lane.  Several lanes solve in lock step (:func:`solve_lanes`),
+    a single one by :func:`solve`, its one-lane case."""
+    multipliers = estimate_multipliers(nlp, Z)
+    if len(Z) == 1:
+        return [solve(nlp, Z[0], solver,
+                      hessian0=nlp.lagrangian_hessian(Z[0], multipliers[0]),
+                      multipliers0=multipliers[0])]
+    # passed on, not kept here, so the solve can drop each lane's seed
+    return solve_lanes(nlp, Z, solver,
+                       hessian0=nlp.lagrangian_hessian(Z, multipliers),
+                       multipliers0=multipliers)
 
 
-def _solve_on(problem: OcpDefinition, spec, s0, mesh: Mesh,
-              solver: SolverOptions, name: str,
-              warm: Optional[Trajectory] = None):
-    """The solve chain shared by the reference and every re-solve.
+def _solve_on(problems, spec, s0s, mesh: Mesh, solver: SolverOptions,
+              name: str, warms=None) -> list:
+    """The solve chain shared by the reference and every re-solve, for
+    one or more lanes that differ only in their initial state.
 
-    The target is ``problem``, or with ``spec`` its augmented problem
-    (S(t0) = ``s0``, zero when None).  Each attempt runs only when the
-    one before did not settle the solve: (1) with ``warm``, a seeded
-    polish of the target from ``warm``, capped at POLISH_ITERATIONS;
-    (2) the unseeded plain solve, from ``warm`` or the linear guess;
-    (3) with ``spec``, the seeded augmented solve from S staged along
-    the plain solution.  Returns ``(trajectory, solution,
-    iterations)``, the last summing every attempt; raises RuntimeError
-    naming ``name`` when the chain ends unconverged or staging fails.
+    Lane i's target is ``problems[i]``, or with ``spec`` its augmented
+    problem (S(t0) = ``s0s[i]``, zero when None).  Each attempt runs
+    only for the lanes the one before did not settle: (1) with
+    ``warms``, one seeded polish of every lane's target from its warm
+    start ``warms[i]``, all lanes in one lane-stacked NLP, capped at
+    POLISH_ITERATIONS; then for each lane alone, (2) the unseeded plain
+    solve, from its warm start or the linear guess, and (3) with
+    ``spec``, the seeded augmented solve from S staged along the plain
+    solution.  Returns per lane ``(trajectory, solution, iterations)``,
+    the last summing every attempt, or the RuntimeError naming ``name``
+    when its chain ends unconverged or staging fails.  A lane's result
+    does not depend on the other lanes.
     """
-    aug = None if spec is None else augment(problem, spec, s0=s0)
-    nlp, sol, spent = None, None, 0
-    if warm is not None:
-        nlp = transcribe(problem if aug is None else aug, mesh)
-        z = _warm_vector(warm, nlp, (problem if aug is None
-                                     else aug.ocp).initial_state)
-        sol = _seeded_solve(nlp, z, replace(solver, max_iterations=min(
-            POLISH_ITERATIONS, solver.max_iterations)))
-        spent = sol.iterations
-    if sol is None or sol.status != "converged":
-        if aug is None and warm is not None:
-            plain = nlp
-        else:
-            plain = transcribe(problem, mesh)
-            z = (initial_guess(problem, mesh) if warm is None
-                 else _warm_vector(warm, plain, problem.initial_state))
-        sol = solve(plain, z, solver)
+    targets = (problems if spec is None
+               else [augment(p, spec, s0=s) for p, s in zip(problems, s0s)])
+    results, spent = [None] * len(targets), [0] * len(targets)
+    if warms is not None:
+        pins = np.stack([getattr(t, "ocp", t).initial_state for t in targets])
+        nlp = transcribe(targets[0], mesh, initial_states=pins)
+        sols = _seeded_solve(nlp, _warm_vectors(warms, nlp, pins),
+                             replace(solver, max_iterations=min(
+                                 POLISH_ITERATIONS, solver.max_iterations)))
+        for i, sol in enumerate(sols):
+            spent[i] = sol.iterations
+            if sol.status == "converged":
+                results[i] = (extract_solution(nlp, sol.z,
+                                               objective_value=sol.objective),
+                              sol, spent[i])
+    for i, problem in enumerate(problems):
+        if results[i] is None:
+            results[i] = _solve_alone(problem, targets[i], mesh, solver, name,
+                                      None if warms is None else warms[i],
+                                      spent[i])
+    return results
+
+
+def _solve_alone(problem: OcpDefinition, target, mesh: Mesh,
+                 solver: SolverOptions, name: str,
+                 warm: Optional[Trajectory], spent: int):
+    """Attempts (2) and (3) of :func:`_solve_on` for one lane, ``spent``
+    iterations in; its result, or the RuntimeError that ends it."""
+    plain = transcribe(problem, mesh)
+    z = (initial_guess(problem, mesh) if warm is None else _warm_vectors(
+        [warm], plain, problem.initial_state[None])[0])
+    sol = solve(plain, z, solver)
+    spent += sol.iterations
+    nlp = plain
+    if target is not problem and sol.status == "converged":
+        traj = extract_solution(plain, sol.z, objective_value=sol.objective)
+        # only now, so that no augmented Jacobian is held through stage 2
+        nlp = transcribe(target, mesh)
+        try:
+            guess = _staged_sensitivity_guess(nlp, traj)
+        except RuntimeError as exc:
+            return exc
+        sol, = _seeded_solve(nlp, guess[None], solver)
         spent += sol.iterations
-        if aug is None:
-            nlp = plain
-        elif sol.status == "converged":
-            traj = extract_solution(plain, sol.z, objective_value=sol.objective)
-            if nlp is None:
-                # only now, so its Jacobian is not held through stage 2
-                nlp = transcribe(aug, mesh)
-            sol = _seeded_solve(nlp, _staged_sensitivity_guess(nlp, traj),
-                                solver)
-            spent += sol.iterations
     if sol.status != "converged":
-        raise RuntimeError(f"{name} did not converge: {sol.status}")
-    return extract_solution(nlp, sol.z, objective_value=sol.objective), sol, spent
+        return RuntimeError(f"{name} did not converge: {sol.status}")
+    return (extract_solution(nlp, sol.z, objective_value=sol.objective), sol,
+            spent)
 
 
 def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
@@ -332,29 +374,52 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
     """
     if cfg.desensitized and spec is None:
         raise ValueError(f"method {cfg.method} requires a desensitization spec")
-    traj, sol, spent = _solve_on(ocp, spec if cfg.desensitized else None,
-                                 None, _with_mesh(cfg, ocp).mesh, cfg.solver,
-                                 "reference solve")
+    result, = _solve_on([ocp], spec if cfg.desensitized else None, [None],
+                        _with_mesh(cfg, ocp).mesh, cfg.solver,
+                        "reference solve")
+    if isinstance(result, RuntimeError):
+        raise result
+    traj, sol, spent = result
     return traj, replace(sol, iterations=spent)
 
 
 def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                    base_mesh: Mesh, x0, s0, t_start: float, tf: float,
-                   warm_start: Trajectory):
+                   warm_start):
     """Re-solve on [t_start, tf] warm-started from the previous solution.
 
     The mesh keeps ``base_mesh``'s fractions and orders mapped onto the
     remaining horizon (an empty horizon raises ValueError); x(t_start)
     is pinned to ``x0``, and S(t_start) to ``s0`` for desensitized
-    methods, while the terminal condition stays in force.  Returns
-    ``(trajectory, solution, iterations)``, the last summing every SQP
-    attempt of the chain; raises RuntimeError when the chain fails.
+    methods, while the terminal condition stays in force.
+
+    With one :class:`Trajectory` as ``warm_start``, ``x0`` is (n,) and
+    ``s0`` (n, m) or None, and the call returns ``(trajectory,
+    solution, iterations)``, the last summing every SQP attempt of the
+    chain, or raises RuntimeError when the chain fails.  With a
+    sequence of P warm starts, all on one mesh, lane i re-solves from
+    ``x0[i]`` (x0 is (P, n)) and ``s0[i]`` (``s0`` a sequence, or None)
+    in one lock-stepped solve chain (:func:`_solve_on`), and the call
+    returns one entry per lane: that tuple, or the RuntimeError that
+    stopped that lane alone.  Each lane equals its re-solve made alone,
+    bit for bit.
     """
     mesh = base_mesh.with_time_domain(float(t_start), float(tf))
-    shrunk = ocp.with_initial_state(x0, time_domain=(float(t_start), float(tf)))
-    return _solve_on(shrunk, spec if cfg.desensitized else None, s0, mesh,
-                     cfg.solver, f"guidance re-solve on [{t_start}, {tf}]",
-                     warm=warm_start)
+    one = isinstance(warm_start, Trajectory)
+    warms = [warm_start] if one else list(warm_start)
+    x0s = [x0] if one else list(x0)
+    s0s = [s0] if one else ([None] * len(warms) if s0 is None else list(s0))
+    problems = [ocp.with_initial_state(x, time_domain=(float(t_start),
+                                                       float(tf)))
+                for x in x0s]
+    results = _solve_on(problems, spec if cfg.desensitized else None, s0s,
+                        mesh, cfg.solver,
+                        f"guidance re-solve on [{t_start}, {tf}]", warms)
+    if not one:
+        return results
+    if isinstance(results[0], RuntimeError):
+        raise results[0]
+    return results[0]
 
 
 def _check_solved(cfg: GuidanceConfig, traj: Trajectory, name: str,
@@ -485,13 +550,13 @@ def run_missions(ocp: OcpDefinition, spec, cfg: GuidanceConfig, p_tildes,
     their list, in order.  The missions share the reference (solved
     here once when ``reference`` is None) and ``first_warm``.  Per
     guidance cycle, every mission still flying is one lane of a single
-    stacked truth flight (:func:`~guidedog.simulation.integrate`), and
-    then each makes its own re-solve.  A lane's flight does not depend
-    on the others, so each mission equals the one flown alone, bit for
-    bit.  A mission whose flight or re-solve fails stops there and
-    drops out of later flights; the others fly on.  What
-    :func:`run_mission` rejects before any solve (ValueError), this
-    rejects for any entry.
+    stacked truth flight (:func:`~guidedog.simulation.integrate`) and
+    then of one re-solve of all the lanes (:func:`_resolve_cycle`).
+    Neither a lane's flight nor its re-solve depends on the others, so
+    each mission equals the one flown alone, bit for bit.  A mission
+    whose flight or re-solve fails stops there and drops out of later
+    cycles; the others fly on.  What :func:`run_mission` rejects before
+    any solve (ValueError), this rejects for any entry.
     """
     check_schedule(cfg, ocp.time_domain)
     lanes = [_Lane(check_params(ocp, p)) for p in p_tildes]
@@ -535,15 +600,18 @@ def run_missions(ocp: OcpDefinition, spec, cfg: GuidanceConfig, p_tildes,
         live, t_flown = fly(live, t_flown, t_end), t_end
         if _ends_horizon(t_flown, tf):
             break
-        for lane in live:
-            plan = lane.trajectories[-1]
-            x_next, s0 = restart_conditions(plan, lane.flown[-1], t_flown)
-            warm = plan if s or first_warm is None else first_warm
-            try:
-                lane.solved(*_resolve_cycle(ocp, spec, cfg, cfg.mesh, x_next,
-                                            s0, t_flown, tf, warm))
-            except RuntimeError as exc:
-                lane.message = str(exc)
+        # every live lane's re-solve in one lock-stepped call
+        restarts = [restart_conditions(lane.trajectories[-1], lane.flown[-1],
+                                       t_flown) for lane in live]
+        warms = [lane.trajectories[-1] if s or first_warm is None
+                 else first_warm for lane in live]
+        for lane, result in zip(live, _resolve_cycle(
+                ocp, spec, cfg, cfg.mesh, np.stack([x for x, _ in restarts]),
+                [s0 for _, s0 in restarts], t_flown, tf, warms)):
+            if isinstance(result, RuntimeError):
+                lane.message = str(result)
+            else:
+                lane.solved(*result)
         live = [lane for lane in live if lane.message is None]
     if live and not _ends_horizon(t_flown, tf):
         fly(live, t_flown, tf)

@@ -13,10 +13,11 @@ methods are requested — and any prefix of a longer campaign reproduces
 the shorter one exactly.  Each method flies all its draws together in
 this process (:func:`~guidedog.guidance.run_missions`): per guidance
 cycle, one stacked truth flight carries every draw still flying as a
-lane, and then each draw makes its own re-solve.  A lane flies as it
-would alone, bit for bit, so the prefix property holds and every record
-is the mission :func:`~guidedog.guidance.run_mission` flies for its
-draw against the shared reference and first re-solve.
+lane, and then one lock-stepped re-solve serves them all.  A lane flies
+and re-solves as it would alone, bit for bit, so the prefix property
+holds and every record is the mission
+:func:`~guidedog.guidance.run_mission` flies for its draw against the
+shared reference and first re-solve.
 
 Reference solves are shared: one plain solve covers OC and OG, one
 sensitivity-augmented solve covers DOC and DOG.  So is each guided

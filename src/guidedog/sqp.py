@@ -43,6 +43,7 @@ __all__ = [
     "estimate_multipliers",
     "initial_guess",
     "solve",
+    "solve_lanes",
 ]
 
 
@@ -133,10 +134,15 @@ def estimate_multipliers(nlp: NlpProblem, point: np.ndarray) -> np.ndarray:
 
     Minimizes the stationarity residual |g + J' lambda| over all rows.
     Near a solution this reproduces the optimal multipliers and makes a
-    good warm-start companion to a Hessian seed.
+    good warm-start companion to a Hessian seed.  A (P, n) stack of
+    points, one per lane of a lane-stacked NLP, gives a (P, m) stack
+    from one gradient and one Jacobian call.
     """
     z = np.asarray(point, dtype=float)
-    return _least_squares_multipliers(nlp.gradient(z), nlp.jacobian(z))
+    if z.ndim == 1:
+        return _least_squares_multipliers(nlp.gradient(z), nlp.jacobian(z))
+    return np.array([_least_squares_multipliers(g, J)
+                     for g, J in zip(nlp.gradient(z), nlp.jacobian(z))])
 
 
 def _least_squares_multipliers(g, J):
@@ -288,6 +294,35 @@ def _solve_kkt(B, A, g, b, ldl=None):
     return sol[:n], sol[n:]
 
 
+def _qp_step(B, H_lag, J, g, b):
+    """Step and multipliers of the QP on the Lagrangian Hessian ``H_lag``
+    when given and its KKT matrix has inertia (n, m, 0), solved on the
+    LDL' factors that tested it; otherwise of the QP on ``B``."""
+    if H_lag is not None:
+        m, n = J.shape
+        H_lag = np.asarray(H_lag, dtype=float)
+        factors = _kkt_ldl(H_lag, J)
+        if factors[3] == (n, m, 0):
+            return _solve_kkt(H_lag, J, g, b, factors)
+    return _solve_kkt(B, J, g, b)
+
+
+def _correction(J, resid):
+    """Minimum-norm step removing the constraint residual ``resid``
+    to first order: by the normal equations, or lstsq when J is
+    ill-conditioned."""
+    try:
+        corr = J.T @ np.linalg.solve(J @ J.T, -resid)
+        ok = np.all(np.isfinite(corr)) and (
+            np.linalg.norm(J @ corr + resid)
+            <= 1e-8 * (1.0 + np.linalg.norm(resid)))
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        corr, *_ = np.linalg.lstsq(J, -resid, rcond=None)
+    return corr
+
+
 def _damped_bfgs_update(B, s, y):
     """Powell-damped BFGS update keeping B positive definite."""
     Bs = B @ s
@@ -330,167 +365,255 @@ def solve(nlp: NlpProblem, guess: np.ndarray,
     solve that converges after k steps makes k - 1 updates.
 
     ``hessian0``/``multipliers0`` seed the quasi-Newton matrix and the
-    merit penalty from an earlier, closely related solve.
+    merit penalty from an earlier, closely related solve.  This is the
+    one-lane case of :func:`solve_lanes`.
     """
-    opts = opts or SolverOptions()
-    z = np.asarray(guess, dtype=float).copy()
+    z = np.asarray(guess, dtype=float)
     if z.size != nlp.n_vars:
         raise ValueError(f"guess has {z.size} entries, expected {nlp.n_vars}")
+    return solve_lanes(nlp, z.reshape(1, -1), opts,
+                       None if hessian0 is None else [hessian0],
+                       None if multipliers0 is None else [multipliers0])[0]
+
+
+class _Iterate:
+    """One lane of :func:`solve_lanes`: its iterate, quasi-Newton matrix,
+    penalty and trace, and the state of its current step."""
+
+    def __init__(self, lane, z, hessian0, multipliers0, m):
+        n = z.size
+        if hessian0 is not None:
+            self.B = np.asarray(hessian0, dtype=float).copy()
+            if self.B.shape != (n, n):
+                raise ValueError(
+                    f"hessian0 has shape {self.B.shape}, expected {(n, n)}")
+        else:
+            self.B = np.eye(n)
+        mu = None if multipliers0 is None else np.asarray(multipliers0,
+                                                          dtype=float)
+        self.nu = 1.0
+        if mu is not None and mu.size == m and m:
+            self.nu = max(self.nu, 2.0 * float(np.max(np.abs(mu))))
+        # Multipliers for the loop-top optimality check.  Any vector gives
+        # an upper bound on the minimal stationarity residual (so passing
+        # the check is always a valid certificate); the QP multipliers
+        # from the previous accepted step are essentially free and tight
+        # near the solution, so a fresh least-squares estimate is only
+        # computed when neither they nor a caller-provided seed are
+        # available.
+        self.lam = mu if mu is not None and mu.size == m else None
+        self.lane, self.z = lane, z
+        self.alpha = 0.0   # no step taken yet, so the first QP is never local
+        self.pair = None   # the last step's curvature pair, not yet applied
+        self.trace: list = []
+        self.status: Optional[str] = None   # set when the lane stops
+        self.it = 0
+
+    def stop(self, status: str) -> None:
+        """End this lane's solve; the matrices only further steps need
+        are dropped, so a stacked array dies with its last lane."""
+        self.status, self.B, self.g, self.J = status, None, None, None
+
+    def trial(self) -> None:
+        """The line search's next point at step length ``alpha``."""
+        self.soc = False
+        self.point = self.z + self.alpha * self.d
+
+    def contract(self) -> bool:
+        """Shorten the step after a rejected trial; False when the
+        backtracks are used up (a line-search failure)."""
+        self.alpha *= CONTRACTION
+        self.backtrack += 1
+        if self.backtrack == MAX_BACKTRACKS:
+            self.stop("line-search-failure")
+            return False
+        self.trial()
+        return True
+
+
+def solve_lanes(nlp: NlpProblem, guesses, opts: Optional[SolverOptions] = None,
+                hessian0=None, multipliers0=None) -> list:
+    """Run SQP from each row of ``guesses`` (P, n) in lock step.
+
+    Row i is lane i of ``nlp``, which must have P lanes (a lane-stacked
+    NLP when P > 1, see :class:`NlpProblem`); ``hessian0`` and
+    ``multipliers0`` are None or one seed per lane.  Each lane runs
+    :func:`solve`'s algorithm with its own iterate, quasi-Newton matrix,
+    penalty weight, backtracking line search and second-order
+    correction, convergence test, status and trace, and solves its own
+    KKT systems.  Lanes advance one SQP iteration per round, and each
+    round calls every hook once on the stack of the lanes that need it:
+    the Lagrangian Hessian for lanes in their local phase, objective
+    and constraints once per line-search trial (a backtrack or a
+    correction), gradient and Jacobian at the accepted points.  A lane
+    that stops drops out of later calls.  A single lane calls the hooks
+    on its vector.  Returns one :class:`NlpSolution` per lane, each the
+    bytes of its lane solved alone.
+    """
+    opts = opts or SolverOptions()
+    Z = np.array(guesses, dtype=float)
     n = nlp.n_vars
     m = nlp.n_constraints
+    if Z.ndim != 2 or Z.shape[1] != n:
+        raise ValueError(f"guesses have shape {Z.shape}, expected (P, {n})")
+    P = Z.shape[0]
+    if P != nlp.lanes:
+        raise ValueError(f"{P} guesses for an NLP of {nlp.lanes} lanes")
 
-    if hessian0 is not None:
-        B = np.asarray(hessian0, dtype=float).copy()
-        if B.shape != (n, n):
-            raise ValueError(f"hessian0 has shape {B.shape}, expected {(n, n)}")
-    else:
-        B = np.eye(n)
+    def evaluate(hook, points, *extra, lanes=None):
+        # one result per point; a single lane calls the hook on its vector
+        if P == 1:
+            return [hook(points[0], *(e[0] for e in extra))]
+        args = [np.stack(points), *(np.stack(e) for e in extra)]
+        return hook(*args) if lanes is None else hook(*args, lanes)
 
-    nu = 1.0
-    if multipliers0 is not None and multipliers0.size == m and m:
-        nu = max(nu, 2.0 * float(np.max(np.abs(multipliers0))))
-
+    iterates = [_Iterate(i, z, None if hessian0 is None else hessian0[i],
+                         None if multipliers0 is None else multipliers0[i], m)
+                for i, z in enumerate(Z)]
+    # each lane holds a copy of its seed, dropped at its first update, so
+    # a seed stack passed in and held nowhere else is freed here
+    del hessian0
     eps = np.finfo(float).eps
-
-    f = float(nlp.objective(z))
-    g = nlp.gradient(z)
-    c = nlp.constraints(z)
-    J = nlp.jacobian(z)
-
-    status = "max-iterations"
-    alpha = 0.0       # no step taken yet, so the first QP is never local
-    curvature_pair = None
-    trace: list = []
-
-    # Multipliers for the loop-top optimality check.  Any vector gives an
-    # upper bound on the minimal stationarity residual (so passing the
-    # check is always a valid certificate); the QP multipliers from the
-    # previous accepted step are essentially free and tight near the
-    # solution, so a fresh least-squares estimate is only computed when
-    # neither they nor a caller-provided seed are available.
-    lam_check = (np.asarray(multipliers0, dtype=float)
-                 if multipliers0 is not None and multipliers0.size == m
-                 else None)
+    points = [lane.z for lane in iterates]
+    for lane, f, g, c, J in zip(
+            iterates, evaluate(nlp.objective, points),
+            evaluate(nlp.gradient, points),
+            evaluate(nlp.constraints, points),
+            evaluate(nlp.jacobian, points)):
+        lane.f, lane.g, lane.c, lane.J = float(f), g, c, J
+    # a lane's first Jacobian dies with its first step, not held here
+    del f, g, c, J
 
     for it in range(opts.max_iterations + 1):
-        if lam_check is None:
-            lam_check = _least_squares_multipliers(g, J)
-        stat = g + J.T @ lam_check if m else g
-        viol_inf = constraint_violation(nlp, c)
-        kkt = max(float(np.max(np.abs(stat))) if n else 0.0, viol_inf)
-        if kkt <= opts.kkt_tolerance:
-            status = "converged"
+        running = [lane for lane in iterates if lane.status is None]
+        if not running:
             break
-        if it == opts.max_iterations:
-            break
-        # the previous step's quasi-Newton update, made only once another
-        # step needs it: a warm re-solve that converges after one step
-        # never pays for an n x n rank-2 update
-        if curvature_pair is not None:
-            B = _damped_bfgs_update(B, *curvature_pair)
+        local = []
+        for lane in running:
+            lane.it = it
+            if lane.lam is None:
+                lane.lam = _least_squares_multipliers(lane.g, lane.J)
+            stat = lane.g + lane.J.T @ lane.lam if m else lane.g
+            lane.viol_inf = constraint_violation(nlp, lane.c)
+            lane.kkt = max(float(np.max(np.abs(stat))) if n else 0.0,
+                           lane.viol_inf)
+            if lane.kkt <= opts.kkt_tolerance:
+                lane.stop("converged")
+                continue
+            if it == opts.max_iterations:
+                lane.stop("max-iterations")
+                continue
+            # the previous step's quasi-Newton update, made only once
+            # another step needs it: a warm re-solve that converges after
+            # one step never pays for an n x n rank-2 update
+            if lane.pair is not None:
+                lane.B = _damped_bfgs_update(lane.B, *lane.pair)
+            if (lane.alpha == 1.0 and lane.viol_inf <= 1e-6
+                    and nlp.lagrangian_hessian is not None):
+                local.append(lane)
 
         # local phase: after a full step onto a nearly feasible point,
         # take Newton steps on the problem's Lagrangian Hessian whenever
         # its reduced Hessian is positive definite, solved on the LDL'
         # factors that tested it; B stays the fallback
-        H, ldl = B, None
-        if (alpha == 1.0 and viol_inf <= 1e-6
-                and nlp.lagrangian_hessian is not None):
-            H_lag = np.asarray(nlp.lagrangian_hessian(z, lam_check),
-                               dtype=float)
-            factors = _kkt_ldl(H_lag, J)
-            if factors[3] == (n, m, 0):
-                H, ldl = H_lag, factors
+        hessians = dict(zip((lane.lane for lane in local), evaluate(
+            nlp.lagrangian_hessian, [lane.z for lane in local],
+            [lane.lam for lane in local]))) if local else {}
 
-        d, lam_qp = _solve_kkt(H, J, g, nlp.lower - c, ldl)
-        step_scale = float(np.max(np.abs(d))) if n else 0.0
-        if not np.all(np.isfinite(d)) or step_scale > 1e12:
-            status = "line-search-failure"
-            break
-        # exact-penalty weight: raised when multipliers demand it,
-        # relaxed slowly once they shrink again
-        nu_req = 2.0 * float(np.max(np.abs(lam_qp))) + 1e-3 if lam_qp.size else 1e-3
-        if nu_req > nu:
-            nu = nu_req
-        elif nu > 10.0 * nu_req:
-            nu = max(nu_req, 0.1 * nu)
+        searching = []
+        for lane in running:
+            if lane.status is not None:
+                continue
+            d, lane.lam_qp = _qp_step(lane.B, hessians.pop(lane.lane, None),
+                                      lane.J, lane.g, nlp.lower - lane.c)
+            step_scale = float(np.max(np.abs(d))) if n else 0.0
+            if not np.all(np.isfinite(d)) or step_scale > 1e12:
+                lane.stop("line-search-failure")
+                continue
+            # exact-penalty weight: raised when multipliers demand it,
+            # relaxed slowly once they shrink again
+            lam_qp = lane.lam_qp
+            nu_req = 2.0 * float(np.max(np.abs(lam_qp))) + 1e-3 if lam_qp.size else 1e-3
+            if nu_req > lane.nu:
+                lane.nu = nu_req
+            elif lane.nu > 10.0 * nu_req:
+                lane.nu = max(nu_req, 0.1 * lane.nu)
 
-        viol_l1 = _l1_violation(nlp, c)
-        phi0 = _merit(f, viol_l1, nu)
-        dphi = float(g @ d) - nu * viol_l1
-        rounding = 1e3 * eps * (1.0 + abs(phi0))
-        if dphi > rounding:
-            # not a descent direction for the merit (an indefinite seeded
-            # matrix can give one): stop instead of climbing along it
-            status = "line-search-failure"
-            break
-        tiny = abs(dphi) <= rounding
+            viol_l1 = _l1_violation(nlp, lane.c)
+            lane.phi0 = _merit(lane.f, viol_l1, lane.nu)
+            lane.dphi = float(lane.g @ d) - lane.nu * viol_l1
+            rounding = 1e3 * eps * (1.0 + abs(lane.phi0))
+            if lane.dphi > rounding:
+                # not a descent direction for the merit (an indefinite
+                # seeded matrix can give one): stop instead of climbing
+                # along it
+                lane.stop("line-search-failure")
+                continue
+            lane.tiny = abs(lane.dphi) <= rounding
+            lane.d, lane.alpha, lane.backtrack = d, 1.0, 0
+            lane.trial()
+            searching.append(lane)
 
-        alpha = 1.0
-        accepted = False
-        f_new = f
-        for backtrack in range(MAX_BACKTRACKS):
-            z_new = z + alpha * d
-            f_new = float(nlp.objective(z_new))
-            c_new = nlp.constraints(z_new)
-            phi_new = _merit(f_new, _l1_violation(nlp, c_new), nu)
-            if tiny or phi_new <= phi0 + SUFFICIENT_DECREASE * alpha * dphi:
-                accepted = True
-                break
-            if backtrack == 0 and m:
-                # second-order correction: retry the full step with the
-                # curvature-induced constraint violation removed
-                resid = c_new - nlp.lower
-                try:
-                    # minimum-norm correction via the normal equations;
-                    # ill-conditioned Jacobians fall back to lstsq
-                    corr = J.T @ np.linalg.solve(J @ J.T, -resid)
-                    ok = np.all(np.isfinite(corr)) and (
-                        np.linalg.norm(J @ corr + resid)
-                        <= 1e-8 * (1.0 + np.linalg.norm(resid)))
-                except np.linalg.LinAlgError:
-                    ok = False
-                if not ok:
-                    corr, *_ = np.linalg.lstsq(J, -resid, rcond=None)
-                z_soc = z + d + corr
-                f_soc = float(nlp.objective(z_soc))
-                c_soc = nlp.constraints(z_soc)
-                phi_soc = _merit(f_soc, _l1_violation(nlp, c_soc), nu)
-                if phi_soc <= phi0 + SUFFICIENT_DECREASE * dphi:
-                    z_new, f_new, c_new = z_soc, f_soc, c_soc
-                    accepted = True
-                    break
-            alpha *= CONTRACTION
-        if not accepted:
-            status = "line-search-failure"
-            break
+        # the line search, one round per trial point of every lane still
+        # searching: a full or shortened step, or the second-order
+        # correction tried once after a rejected full step
+        accepted = []
+        while searching:
+            trials = [lane.point for lane in searching]
+            pending = []
+            for lane, f_new, c_new in zip(
+                    searching, evaluate(nlp.objective, trials),
+                    evaluate(nlp.constraints, trials,
+                             lanes=[lane.lane for lane in searching])):
+                f_new = float(f_new)
+                phi_new = _merit(f_new, _l1_violation(nlp, c_new), lane.nu)
+                if lane.soc:
+                    ok = phi_new <= lane.phi0 + SUFFICIENT_DECREASE * lane.dphi
+                else:
+                    ok = lane.tiny or (phi_new <= lane.phi0 + SUFFICIENT_DECREASE
+                                       * lane.alpha * lane.dphi)
+                if ok:
+                    lane.z_new, lane.f_new, lane.c_new = lane.point, f_new, c_new
+                    accepted.append(lane)
+                elif not lane.soc and lane.backtrack == 0 and m:
+                    # second-order correction: retry the full step with the
+                    # curvature-induced constraint violation removed
+                    lane.soc, lane.point = True, lane.z + lane.d + \
+                        _correction(lane.J, c_new - nlp.lower)
+                    pending.append(lane)
+                elif lane.contract():
+                    pending.append(lane)
+            searching = pending
 
-        g_new = nlp.gradient(z_new)
-        J_new = nlp.jacobian(z_new)
-        s = z_new - z
-        if m:
-            y = (g_new + J_new.T @ lam_qp) - (g + J.T @ lam_qp)
-        else:
-            y = g_new - g
-        curvature_pair = (s, y)
+        if accepted:
+            news = [lane.z_new for lane in accepted]
+            for lane, g_new, J_new in zip(accepted,
+                                          evaluate(nlp.gradient, news),
+                                          evaluate(nlp.jacobian, news)):
+                s = lane.z_new - lane.z
+                if m:
+                    y = ((g_new + J_new.T @ lane.lam_qp)
+                         - (lane.g + lane.J.T @ lane.lam_qp))
+                else:
+                    y = g_new - lane.g
+                lane.pair = (s, y)
+                lane.z, lane.f, lane.g = lane.z_new, lane.f_new, g_new
+                lane.c, lane.J = lane.c_new, J_new
+                lane.lam = lane.lam_qp
+                lane.trace.append(IterationRecord(
+                    iteration=it + 1, objective=lane.f,
+                    violation=_l1_violation(nlp, lane.c), penalty=lane.nu,
+                    step_length=lane.alpha, kkt=lane.kkt,
+                ))
 
-        z, f, g, c, J = z_new, f_new, g_new, c_new, J_new
-        lam_check = lam_qp
-        trace.append(IterationRecord(
-            iteration=it + 1, objective=f,
-            violation=_l1_violation(nlp, c), penalty=nu,
-            step_length=alpha, kkt=kkt,
-        ))
-
-    # every exit breaks out of the loop at iteration ``it`` with the
-    # multipliers its optimality check used
-    return NlpSolution(
-        z=z, multipliers=lam_check, kkt_residual=kkt,
-        iterations=it,
-        status=status,
-        objective=f, constraint_violation=constraint_violation(nlp, c),
-        trace=trace,
-    )
+    # every lane stops at iteration ``it`` with the multipliers its
+    # optimality check used
+    return [NlpSolution(
+        z=lane.z, multipliers=lane.lam, kkt_residual=lane.kkt,
+        iterations=lane.it, status=lane.status, objective=lane.f,
+        constraint_violation=constraint_violation(nlp, lane.c),
+        trace=lane.trace,
+    ) for lane in iterates]
 
 
 def initial_guess(problem, mesh: Mesh) -> np.ndarray:

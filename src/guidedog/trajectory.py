@@ -23,7 +23,7 @@ import numpy as np
 
 from .lgr import barycentric_eval, basis, interval_node_times
 
-__all__ = ["Trajectory", "control_reader"]
+__all__ = ["Trajectory", "control_reader", "sample_lanes"]
 
 
 @dataclass
@@ -98,14 +98,8 @@ class Trajectory:
 
     def _located(self, t, control: bool) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        owner = self.locate(flat)
-        width = (self.control_values if control else self.state_values)[0].shape[1]
-        out = np.empty((flat.size, width))
-        for k in np.unique(owner):
-            sel = owner == k
-            out[sel] = self.interval_values(k, flat[sel], control)
-        return out.reshape(t.shape + (width,))
+        out = sample_lanes([self], t.reshape(-1), control)[0]
+        return out.reshape(t.shape + out.shape[-1:])
 
     def full_state_at(self, t) -> np.ndarray:
         """Full (physical + sensitivity) state at a time or array of times."""
@@ -133,6 +127,41 @@ class Trajectory:
         return self.full_state_at(times), self.control_at(times)
 
 
+def _interval_lanes(trajs, k: int, control: bool):
+    """Interval k's local nodes and barycentric weights, shared by every
+    trajectory of ``trajs``, and their (P, N, width) samples (a view of
+    a single trajectory's own)."""
+    first, bas = trajs[0], basis(trajs[0].orders[k])
+    values = [(traj.control_values if control else traj.state_values)[k]
+              for traj in trajs]
+    values = values[0][None] if len(values) == 1 else np.stack(values)
+    if control:
+        return first._control_taus[k], bas.node_bary, values
+    return first._state_taus[k], bas.support_bary, values
+
+
+def sample_lanes(trajs, times, control: bool = False) -> np.ndarray:
+    """Every trajectory in ``trajs``, a lane each, at the same ``times``
+    (q,), in one lane-axis barycentric pass per mesh interval.
+
+    Returns a (P, q, width) stack whose lane i is
+    ``trajs[i].full_state_at(times)`` (with ``control``,
+    ``control_at``), bit for bit.  The trajectories must share one mesh;
+    the caller checks that.
+    """
+    first = trajs[0]
+    owner = first.locate(times)
+    width = (first.control_values if control
+             else first.state_values)[0].shape[1]
+    out = np.empty((len(trajs), times.size, width))
+    for k in np.unique(owner):
+        sel = owner == k
+        tau = first._clamped_tau(k, times[sel])
+        out[:, sel] = barycentric_eval(*_interval_lanes(trajs, k, control),
+                                       tau[None].repeat(len(trajs), axis=0))
+    return out
+
+
 def control_reader(trajs, k: int):
     """Interval k's control polynomial of every trajectory in ``trajs``,
     a lane each, as one function of ``times`` (P, q) returning
@@ -144,7 +173,6 @@ def control_reader(trajs, k: int):
     that.
     """
     first = trajs[0]
-    nodes, weights = first._control_taus[k], basis(first.orders[k]).node_bary
-    values = np.stack([traj.control_values[k] for traj in trajs])
+    nodes, weights, values = _interval_lanes(trajs, k, control=True)
     return lambda times: barycentric_eval(
         nodes, weights, values, first._clamped_tau(k, times))

@@ -157,9 +157,13 @@ class Layout:
     n_vars: int
 
     def split(self, z: np.ndarray):
+        """States (..., P, na) and controls (..., C, nu) of a decision
+        vector, or of each row of a stack of them."""
         P, na, nu = self.n_state_points, self.n_aug, self.n_controls
-        X = z[: P * na].reshape(P, na)
-        U = z[P * na: P * na + self.n_colloc * nu].reshape(self.n_colloc, nu)
+        lead = z.shape[:-1]
+        X = z[..., : P * na].reshape(lead + (P, na))
+        U = z[..., P * na: P * na + self.n_colloc * nu].reshape(
+            lead + (self.n_colloc, nu))
         return X, U
 
 
@@ -190,6 +194,19 @@ class NlpProblem:
     takes Newton steps on it once the iterate is local (after a full
     step to a nearly feasible point, when its inertia is right) and it
     can seed the quasi-Newton matrix of a warm start.
+
+    A lane-stacked NLP (``lanes`` = P > 1) is P problems that share
+    every function but the right-hand side values of some constraint
+    rows, the pins of each lane.  Its hooks also take a (Q, n_vars)
+    stack of points, one row per lane, and return one result per row:
+    ``objective`` (Q,), ``constraints(Z, lanes)`` (Q, m) with ``lanes``
+    naming the lane of each row (row i is lane i by default),
+    ``gradient`` (Q, n_vars), ``jacobian`` (Q, m, n_vars) and
+    ``lagrangian_hessian(Z, multipliers)`` (Q, n_vars, n_vars) for a
+    (Q, m) stack of multipliers.  Row i of each result is the bytes
+    the single-lane problem of its lane returns for that row alone, so
+    lanes solved together equal lanes solved alone.  A single vector
+    ``z`` is lane 0 and gets the single-lane results.
     """
 
     n_vars: int
@@ -203,6 +220,7 @@ class NlpProblem:
     layout: Optional[Layout] = None
     mesh: Optional[Mesh] = None
     source: Optional[object] = None      # OcpDefinition or AugmentedOcp
+    lanes: int = 1
 
     def __post_init__(self):
         if self.lower.shape != self.upper.shape:
@@ -243,6 +261,26 @@ def _central_differences(fun, V: np.ndarray, rel_step: float,
     return out
 
 
+# width n -> the sign rows of _second_differences' stencil and the
+# column pairs (a, b) of its cross moves
+_STENCIL_CACHE: dict[int, tuple] = {}
+
+
+def _stencil(n: int):
+    """The cached 4-point stencil of width n (idempotent fill)."""
+    cached = _STENCIL_CACHE.get(n)
+    if cached is None:
+        eye = np.eye(n)
+        a, b = np.triu_indices(n, 1)
+        signs = np.concatenate([np.zeros((1, n)), eye, -eye,
+                                eye[a] + eye[b], eye[a] - eye[b],
+                                -eye[a] + eye[b], -eye[a] - eye[b]])
+        for arr in (signs, a, b):
+            arr.flags.writeable = False
+        cached = _STENCIL_CACHE[n] = (signs, a, b)
+    return cached
+
+
 def _second_differences(fun, V0: np.ndarray, rel_step: float) -> np.ndarray:
     """4-point second-difference Hessian blocks of a batched scalar function.
 
@@ -253,11 +291,7 @@ def _second_differences(fun, V0: np.ndarray, rel_step: float) -> np.ndarray:
     """
     B, n = V0.shape
     step = rel_step * (1.0 + np.abs(V0))
-    eye = np.eye(n)
-    a, b = np.triu_indices(n, 1)
-    signs = np.concatenate([np.zeros((1, n)), eye, -eye,
-                            eye[a] + eye[b], eye[a] - eye[b],
-                            -eye[a] + eye[b], -eye[a] - eye[b]])
+    signs, a, b = _stencil(n)
     vals = np.asarray(fun((V0 + signs[:, None, :] * step).reshape(-1, n)))
     vals = vals.reshape(signs.shape[0], B)
     centre, plus, minus = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
@@ -272,14 +306,19 @@ def _second_differences(fun, V0: np.ndarray, rel_step: float) -> np.ndarray:
 
 
 def _pin_indices(values: Optional[np.ndarray]):
+    """Pinned (non-NaN) components of ``values``, one vector or a (P, n)
+    stack of rows that pin the same components, and their values."""
     if values is None:
         return np.array([], dtype=int), np.array([])
     values = np.asarray(values, dtype=float)
-    idx = np.nonzero(~np.isnan(values))[0]
-    return idx, values[idx]
+    free = np.isnan(values)
+    if np.any(free != free.reshape(-1, free.shape[-1])[0]):
+        raise ValueError("every lane must pin the same initial components")
+    idx = np.nonzero(~free.reshape(-1, free.shape[-1])[0])[0]
+    return idx, values[..., idx]
 
 
-def transcribe(problem, mesh: Mesh) -> NlpProblem:
+def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
     """Transcribe an :class:`OcpDefinition` or :class:`AugmentedOcp`.
 
     The mesh must match the problem's (fixed) time domain.  Rows are
@@ -287,6 +326,14 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
     equalities with zero right-hand side.  Every callback is evaluated
     on the stacked batch of collocation points, and a derivative hook's
     whole difference stencil in one stacked call.
+
+    ``initial_states``, a (P, n) stack of the problem's full initial
+    state with each lane's own values in the same pinned (non-NaN)
+    components, makes the NLP lane-stacked (see :class:`NlpProblem`):
+    lane i pins x(t0) to row i in place of ``initial_state``.  A hook
+    called on a stack evaluates each callback once on every row's
+    collocation points; the quadrature sums and the differencing
+    product stay per row.
 
     The derivative hooks share one per-point block map: collocation
     point i owns the defect rows ``point_rows[i]`` and the columns
@@ -336,7 +383,13 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
                             P * na + np.arange(C * nu).reshape(C, nu)])
     end_vars = np.concatenate([np.arange(na), (P - 1) * na + np.arange(na)])
 
-    init_idx, init_vals = _pin_indices(ocp.initial_state)
+    if initial_states is None:
+        initial_states = (None if ocp.initial_state is None
+                          else ocp.initial_state[None])
+    elif np.ndim(initial_states) != 2 or np.shape(initial_states)[1] != na:
+        raise ValueError(f"initial_states must be a (P, {na}) stack")
+    init_idx, init_vals = _pin_indices(initial_states)
+    init_vals = np.atleast_2d(init_vals)   # (lanes, pins)
     term_idx, term_vals = _pin_indices(ocp.terminal_state)
 
     p_nom = ocp.nominal_params
@@ -351,49 +404,86 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         return np.asarray(ocp.running_cost(X, U, times),
                           dtype=float).reshape(-1)
 
-    def point_batch(z):
-        # one (C, na + nu) row of [x_i, u_i] per collocation point
-        X, U = layout.split(z)
-        return np.hstack([X[:-1], U])
+    def lane_stack(z):
+        # a (Q, n_vars) stack of lanes, and whether z was one vector
+        return (z[None], True) if z.ndim == 1 else (z, False)
+
+    tiled = {1: times}
+
+    def tiled_times(M):
+        # the collocation times of M stacked copies of the points, one
+        # per lane or per stencil shift
+        if M not in tiled:
+            tiled[M] = np.concatenate((times,) * M)
+        return tiled[M]
+
+    def lane_points(Z):
+        # every lane's collocation states and controls, lane-major
+        X, U = layout.split(Z)
+        Q = len(Z)
+        return X, X[:, :-1].reshape(Q * C, na), U.reshape(Q * C, nu)
+
+    def point_batch(Z):
+        # one (na + nu) row of [x_i, u_i] per collocation point of each
+        # lane, lane-major
+        return np.hstack(lane_points(Z)[1:])
 
     def stacked(evaluate):
         # M stacked copies of the C point rows; times repeat per copy
         return lambda W: evaluate(W[:, :na], W[:, na:],
-                                  np.concatenate((times,) * (W.shape[0] // C)))
+                                  tiled_times(W.shape[0] // C))
 
-    def constraints(z: np.ndarray) -> np.ndarray:
-        X, U = layout.split(z)
-        F = eval_rates(X[:-1], U, times)
-        return np.concatenate([(diff_block @ X - h_point[:, None] * F).ravel(),
-                               X[0, init_idx] - init_vals,
-                               X[-1, term_idx] - term_vals])
+    # constraint rows: defects, then the initial and terminal pins
+    n_rows = C * na + init_idx.size + term_idx.size
 
-    def objective(z: np.ndarray) -> float:
-        X, U = layout.split(z)
-        value = float(w_scaled @ eval_running(X[:-1], U, times))
-        if ocp.terminal_cost is not None:
-            value += float(ocp.terminal_cost(X[0], t0, X[-1], tf))
-        return value
+    def constraints(z: np.ndarray, lanes=None) -> np.ndarray:
+        Z, one = lane_stack(z)
+        X, Xc, Uc = lane_points(Z)
+        F = eval_rates(Xc, Uc, tiled_times(len(Z))).reshape(len(Z), C, na)
+        pins = init_vals[:len(Z)] if lanes is None else init_vals[lanes]
+        rows = [np.concatenate([(diff_block @ Xi - h_point[:, None] * Fi).ravel(),
+                                Xi[0, init_idx] - pin,
+                                Xi[-1, term_idx] - term_vals])
+                for Xi, Fi, pin in zip(X, F, pins)]
+        return rows[0] if one else np.array(rows)
 
     def endpoint_cost(V):
         # the Mayer term on a batch of [x(t0), x(tf)] rows
         return np.asarray(ocp.terminal_cost(V[:, :na], t0, V[:, na:], tf),
                           dtype=float).reshape(-1)
 
+    def lane_objective(Xi, running):
+        value = float(w_scaled @ running)
+        if ocp.terminal_cost is not None:
+            value += float(ocp.terminal_cost(Xi[0], t0, Xi[-1], tf))
+        return value
+
+    def objective(z: np.ndarray):
+        Z, one = lane_stack(z)
+        X, Xc, Uc = lane_points(Z)
+        running = eval_running(Xc, Uc, tiled_times(len(Z))).reshape(len(Z), C)
+        values = [lane_objective(Xi, r) for Xi, r in zip(X, running)]
+        return values[0] if one else np.array(values)
+
     def gradient(z: np.ndarray) -> np.ndarray:
         # Quadrature costs are separable across collocation points, so
         # the gradient needs one central difference per state/control
         # dimension, all of them evaluated for all points in one call.
-        g = np.zeros(layout.n_vars)
+        Z, one = lane_stack(z)
+        g = np.zeros(Z.shape)
         if ocp.running_cost is not None:
-            V = point_batch(z)
-            g[point_vars] += w_scaled[:, None] * _central_differences(
-                stacked(eval_running), V, 1e-6, np.empty_like(V))
+            V = point_batch(Z)
+            blocks = w_scaled[:, None] * _central_differences(
+                stacked(eval_running), V, 1e-6, np.empty_like(V)
+            ).reshape(len(Z), C, -1)
+            for gi, block in zip(g, blocks):
+                gi[point_vars] += block
         if ocp.terminal_cost is not None:
-            ends = z[end_vars][None, :]
-            g[end_vars] += _central_differences(endpoint_cost, ends, 1e-6,
-                                                np.empty_like(ends))[0]
-        return g
+            ends = Z[:, end_vars]
+            for gi, block in zip(g, _central_differences(
+                    endpoint_cost, ends, 1e-6, np.empty_like(ends))):
+                gi[end_vars] += block
+        return g[0] if one else g
 
     hess_step = float(np.finfo(float).eps) ** 0.25
 
@@ -405,29 +495,32 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         collocated dynamics are separable across collocation points, so
         the Hessian is a sum of per-point (na + nu) blocks plus one
         endpoint block for the Mayer term; each stencil, every shift of
-        every point, is one stacked callback call.  The differencing
-        part of the defects and the pins are linear and drop out.
+        every point of every lane, is one stacked callback call.  The
+        differencing part of the defects and the pins are linear and
+        drop out.
         """
-        lam_defect = np.asarray(multipliers, dtype=float)[: C * na].reshape(C, na)
+        Z, one = lane_stack(z)
+        Q = len(Z)
+        lam_defect = np.asarray(multipliers, dtype=float)[..., : C * na]
+        weight = h_point[:, None] * lam_defect.reshape(Q, C, na)
 
         def point_scalar(W):
             # the per-point weights broadcast over the M stacked shifts
-            val = -np.sum(h_point[:, None] * lam_defect
-                          * stacked(eval_rates)(W).reshape(-1, C, na), axis=2)
+            val = -np.sum(weight * stacked(eval_rates)(W).reshape(-1, Q, C, na),
+                          axis=3)
             if ocp.running_cost is not None:
-                val = val + w_scaled * stacked(eval_running)(W).reshape(-1, C)
+                val = val + w_scaled * stacked(eval_running)(W).reshape(-1, Q, C)
             return val.ravel()
 
-        hess = np.zeros((layout.n_vars, layout.n_vars))
-        hess[point_vars[:, :, None], point_vars[:, None, :]] += \
-            _second_differences(point_scalar, point_batch(z), hess_step)
+        hess = np.zeros((Q, layout.n_vars, layout.n_vars))
+        blocks = _second_differences(point_scalar, point_batch(Z), hess_step)
+        for hi, block in zip(hess, blocks.reshape(Q, C, na + nu, na + nu)):
+            hi[point_vars[:, :, None], point_vars[:, None, :]] += block
         if ocp.terminal_cost is not None:
-            hess[np.ix_(end_vars, end_vars)] += _second_differences(
-                endpoint_cost, z[end_vars][None, :], hess_step)[0]
-        return hess
-
-    # constraint rows: defects, then the initial and terminal pins
-    n_rows = C * na + init_idx.size + term_idx.size
+            for hi, block in zip(hess, _second_differences(
+                    endpoint_cost, Z[:, end_vars], hess_step)):
+                hi[np.ix_(end_vars, end_vars)] += block
+        return hess[0] if one else hess
 
     # --- constraint Jacobian ----------------------------------------------
     # The differencing part of the defects and the state pins are linear in
@@ -442,19 +535,22 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         # the template minus h_i * df/d(x_i, u_i) in every point block
-        V = point_batch(z)
-        Fj = np.empty((C, na, na + nu))
+        Z, one = lane_stack(z)
+        V = point_batch(Z)
+        Fj = np.empty((V.shape[0], na, na + nu))
         first = 0
         if ocp.jac_x is not None:
             Fj[:, :, :na] = np.asarray(
-                ocp.jac_x(V[:, :na], V[:, na:], p_nom, times), dtype=float
-            ).reshape(C, na, na)
+                ocp.jac_x(V[:, :na], V[:, na:], p_nom, tiled_times(len(Z))),
+                dtype=float
+            ).reshape(-1, na, na)
             first = na
         _central_differences(stacked(eval_rates), V, jac_step, Fj, first)
-        J = jac_static.copy()
-        J[point_rows[:, :, None], point_vars[:, None, :]] -= \
-            h_point[:, None, None] * Fj
-        return J
+        J = np.repeat(jac_static[None], len(Z), axis=0)
+        blocks = h_point[:, None, None] * Fj.reshape(len(Z), C, na, na + nu)
+        for Ji, block in zip(J, blocks):
+            Ji[point_rows[:, :, None], point_vars[:, None, :]] -= block
+        return J[0] if one else J
 
     return NlpProblem(
         n_vars=layout.n_vars,
@@ -468,6 +564,7 @@ def transcribe(problem, mesh: Mesh) -> NlpProblem:
         layout=layout,
         mesh=mesh,
         source=source,
+        lanes=len(init_vals),
     )
 
 

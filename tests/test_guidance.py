@@ -548,10 +548,13 @@ def test_a_failed_resolve_drops_its_lane_from_later_flights(problem,
     resolves, flights = [], []
 
     def resolve(*args, **kwargs):
+        # each call re-solves every live lane; the first call's second
+        # lane fails
         resolves.append(1)
-        if len(resolves) == 2:
-            raise RuntimeError("guidance re-solve did not converge: test")
-        return real_resolve(*args, **kwargs)
+        results = real_resolve(*args, **kwargs)
+        if len(resolves) == 1:
+            results[1] = RuntimeError("guidance re-solve did not converge: test")
+        return results
 
     def flight(ocp, trajs, x0, *args, **kwargs):
         flights.append(len(trajs))
@@ -580,3 +583,32 @@ def test_lanes_fly_the_missions_flown_alone(problem):
         for got, p in zip(missions, p_tildes):
             _same_mission(got, run_mission(ocp, spec, cfg, p_tilde=p,
                                            reference=reference))
+
+
+@pytest.mark.parametrize("method, fallback", [
+    ("OG", ["plain"]), ("DOG", ["plain", "augmented seeded"])])
+def test_a_lane_whose_polish_fails_runs_the_chain_alone(monkeypatch, method,
+                                                        fallback):
+    # fig3a on the study mesh from the shared first re-solve, with the
+    # polish capped at two iterations: the nominal draw's first re-solve
+    # takes none and alpha~ = 1.95 two, and both settle in the lock-
+    # stepped polish; alpha~ = 2.3 needs three, so it alone runs the
+    # rest of the chain.  Every mission is the one flown alone.
+    ocp, make_spec = example_problem()
+    q, beta = PRESETS["fig3a"]
+    spec = make_spec(beta=beta, q=q)
+    cfg = GuidanceConfig(method=method, mesh=study_mesh(), cycle_count=1)
+    reference = solve_reference(ocp, spec, cfg)
+    first_warm = nominal_first_resolve(ocp, spec, cfg, reference)
+    monkeypatch.setattr(guidance, "POLISH_ITERATIONS", 2)
+    p_tildes = [np.array([2.0]), np.array([1.95]), np.array([2.3])]
+    alone = [run_mission(ocp, spec, cfg, p_tilde=p, reference=reference,
+                         first_warm=first_warm) for p in p_tildes]
+    attempts = _record_attempts(monkeypatch)
+    missions = run_missions(ocp, spec, cfg, p_tildes, reference=reference,
+                            first_warm=first_warm)
+    assert attempts == fallback
+    assert [m.iterations[1] for m in missions[:2]] == [0, 2]
+    assert missions[2].iterations[1] > 2
+    for got, want in zip(missions, alone):
+        _same_mission(got, want)

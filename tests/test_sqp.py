@@ -681,3 +681,62 @@ def test_a_newton_step_factors_its_kkt_matrix_once(monkeypatch):
     assert first.split() == ["sytrf", "sytrs"]
     assert len(newton) == sol.iterations - 1 >= 2
     assert all(step.split() == ["sytrf", "sytrs"] for step in newton)
+
+
+def test_lock_stepped_lanes_equal_their_solo_solves():
+    # four OG re-solves at t = 4 s on one lane-stacked NLP, seeded the
+    # way guidance seeds a polish, whose paths part: the nominal handoff
+    # converges in one step, x(4) = 8 backtracks and converges, x(4) = 9
+    # runs out of iterations, and x(4) = 1e4 tries the second-order
+    # correction and every backtrack of its first line search, and
+    # fails.  Every lane is the bytes of its solve alone.
+    from guidedog.guidance import GuidanceConfig, _warm_vectors, solve_reference
+
+    ocp, _ = example_problem()
+    reference, _ = solve_reference(ocp, None, GuidanceConfig(method="OC"))
+    mesh = example_mesh().with_time_domain(4.0, 50.0)
+    problems = [ocp.with_initial_state(x, time_domain=(4.0, 50.0))
+                for x in (reference.state_at(4.0), [8.0], [9.0], [1e4])]
+    opts = SolverOptions(max_iterations=20)
+
+    def seeded(nlp, pins, calls):
+        objective = nlp.objective
+        nlp.objective = lambda z: calls.append(np.ndim(z)) or objective(z)
+        Z = _warm_vectors([reference] * len(pins), nlp, pins)
+        mu = estimate_multipliers(nlp, Z)
+        return Z, nlp.lagrangian_hessian(Z, mu), mu
+
+    pins = np.stack([p.initial_state for p in problems])
+    nlp = transcribe(problems[0], mesh, initial_states=pins)
+    rounds = []
+    Z, H, mu = seeded(nlp, pins, rounds)
+    together = sqp.solve_lanes(nlp, Z, opts, hessian0=H, multipliers0=mu)
+    alone, solo_calls = [], []
+    for problem in problems:
+        single = transcribe(problem, mesh)
+        Z, H, mu = seeded(single, problem.initial_state[None], solo_calls)
+        alone.append(solve(single, Z[0], opts, hessian0=H[0],
+                           multipliers0=mu[0]))
+    for got, want in zip(together, alone):
+        assert got.z.tobytes() == want.z.tobytes()
+        assert got.multipliers.tobytes() == want.multipliers.tobytes()
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert got.trace == want.trace
+    assert [(sol.status, sol.iterations) for sol in together] == [
+        ("converged", 1), ("converged", 20), ("max-iterations", 20),
+        ("line-search-failure", 0)]
+    assert min(r.step_length for r in together[1].trace) < 1.0
+    # each round evaluates the trial points of all its lanes in one
+    # stacked call, so the lanes together make fewer calls than alone
+    assert set(rounds) == {2} and len(rounds) < len(solo_calls)
+
+
+def test_lanes_must_match_the_nlp():
+    ocp, _ = example_problem()
+    mesh = build_mesh(0.0, 50.0, 2, 3)
+    nlp = transcribe(ocp, mesh, initial_states=np.array([[1.5], [1.2]]))
+    z = initial_guess(ocp, mesh)
+    with pytest.raises(ValueError, match="1 guesses for an NLP of 2 lanes"):
+        solve(nlp, z)
+    with pytest.raises(ValueError, match="shape"):
+        sqp.solve_lanes(nlp, np.stack([z, z])[:, :-1])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from guidedog import simulation
 from guidedog.lgr import basis, interval_node_times
 from guidedog.ocp import example_problem
-from guidedog.trajectory import Trajectory
+from guidedog.trajectory import Trajectory, sample_lanes
 from guidedog.transcription import (
     build_mesh,
     example_mesh,
@@ -219,6 +219,35 @@ def test_interval_values_rows_match_single_time_queries_bitwise(case):
             for t, row in zip(node_times, samples):
                 got = traj.interval_values(k, t, control=control)
                 assert got.tobytes() == row.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(control_meshes(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_lane_samples_match_each_trajectory_bitwise(case, lanes, seed):
+    # guidance reads every lane's warm start in one pass: P plans on one
+    # mesh, each lane read as its own trajectory's owning interval reads
+    # each time alone
+    traj, fractions = case
+    rng = np.random.default_rng(seed)
+    plans = [Trajectory(
+        t0=traj.t0, tf=traj.tf, interval_times=traj.interval_times,
+        orders=traj.orders,
+        state_values=[rng.standard_normal(v.shape) for v in traj.state_values],
+        control_values=[rng.standard_normal(v.shape)
+                        for v in traj.control_values],
+        n_states=1) for _ in range(lanes)]
+    times = np.concatenate([traj.t0 + np.asarray(fractions)
+                            * (traj.tf - traj.t0),
+                            np.concatenate(traj.state_times)])
+    states = sample_lanes(plans, times)
+    controls = sample_lanes(plans, times, control=True)
+    owners = traj.locate(times)
+    for plan, x, u in zip(plans, states, controls):
+        for k, t, x_row, u_row in zip(owners, times, x, u):
+            assert x_row.tobytes() == plan.interval_values(k, t).tobytes()
+            assert u_row.tobytes() == plan.interval_values(
+                k, t, control=True).tobytes()
+        assert x.tobytes() == plan.full_state_at(times).tobytes()
 
 
 def test_sensitivity_at_accepts_arrays_of_times():

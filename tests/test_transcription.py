@@ -724,3 +724,61 @@ def test_derivative_nonzeros_lie_in_the_per_point_block_pattern(
     assert J.shape == jac_pattern.shape and H.shape == hess_pattern.shape
     assert not np.any(J[~jac_pattern])
     assert not np.any(H[~hess_pattern])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.integers(1, 6),
+       orders=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       augmented=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_lane_stacked_hooks_equal_each_lane_alone(lanes, orders, augmented,
+                                                  seed):
+    # P re-solve problems that differ only in their pinned x(t0) (and
+    # S(t0)), on a random mesh of a random remaining horizon: every hook
+    # of the lane-stacked NLP returns, row by row, the bytes of the
+    # single-lane NLP of that lane
+    ocp, make_spec = example_problem()
+    spec = make_spec(5.0, 0.02)
+    rng = np.random.default_rng(seed)
+    t0 = float(rng.uniform(0.0, 40.0))
+    widths = rng.uniform(0.2, 1.0, len(orders))
+    fractions = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+    mesh = build_mesh(t0, 50.0, len(orders), orders,
+                      fractions=2.0 * fractions - 1.0)
+    problems = [ocp.with_initial_state([x0], time_domain=(t0, 50.0))
+                for x0 in rng.uniform(0.5, 2.0, lanes)]
+    if augmented:
+        problems = [augment(p, spec, s0=rng.standard_normal((1, 1)))
+                    for p in problems]
+    pins = np.stack([getattr(p, "ocp", p).initial_state for p in problems])
+    stacked = transcribe(problems[0], mesh, initial_states=pins)
+    assert stacked.lanes == lanes
+    Z = 1.0 + 0.5 * rng.standard_normal((lanes, stacked.n_vars))
+    lam = rng.standard_normal((lanes, stacked.n_constraints))
+
+    def hooks(nlp, z, multipliers):
+        return {"objective": nlp.objective(z),
+                "constraints": nlp.constraints(z),
+                "gradient": nlp.gradient(z),
+                "jacobian": nlp.jacobian(z),
+                "lagrangian_hessian": nlp.lagrangian_hessian(z, multipliers)}
+
+    got = hooks(stacked, Z, lam)
+    for i, problem in enumerate(problems):
+        alone = hooks(transcribe(problem, mesh), Z[i], lam[i])
+        for name, want in alone.items():
+            assert np.asarray(got[name][i]).tobytes() == \
+                np.asarray(want).tobytes(), (name, i)
+    # rows of any subset of lanes, named, are those lanes' rows
+    subset = rng.permutation(lanes)[: max(1, lanes // 2)]
+    assert stacked.constraints(Z[subset], subset).tobytes() == \
+        got["constraints"][subset].tobytes()
+
+
+def test_lane_stacked_pins_must_free_the_same_components():
+    ocp, _ = example_problem()
+    with pytest.raises(ValueError, match="same initial components"):
+        transcribe(ocp, build_mesh(0.0, 50.0, 2, 3),
+                   initial_states=np.array([[1.5], [np.nan]]))
+    with pytest.raises(ValueError, match="stack"):
+        transcribe(ocp, build_mesh(0.0, 50.0, 2, 3),
+                   initial_states=np.array([1.5, 1.2]))
