@@ -385,41 +385,29 @@ def solve_reference(ocp: OcpDefinition, spec, cfg: GuidanceConfig):
 
 def _resolve_cycle(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
                    base_mesh: Mesh, x0, s0, t_start: float, tf: float,
-                   warm_start):
-    """Re-solve on [t_start, tf] warm-started from the previous solution.
+                   warm_starts) -> list:
+    """Re-solve P lanes on [t_start, tf], each warm-started from its
+    previous solution.
 
     The mesh keeps ``base_mesh``'s fractions and orders mapped onto the
-    remaining horizon (an empty horizon raises ValueError); x(t_start)
-    is pinned to ``x0``, and S(t_start) to ``s0`` for desensitized
-    methods, while the terminal condition stays in force.
-
-    With one :class:`Trajectory` as ``warm_start``, ``x0`` is (n,) and
-    ``s0`` (n, m) or None, and the call returns ``(trajectory,
-    solution, iterations)``, the last summing every SQP attempt of the
-    chain, or raises RuntimeError when the chain fails.  With a
-    sequence of P warm starts, all on one mesh, lane i re-solves from
-    ``x0[i]`` (x0 is (P, n)) and ``s0[i]`` (``s0`` a sequence, or None)
-    in one lock-stepped solve chain (:func:`_solve_on`), and the call
-    returns one entry per lane: that tuple, or the RuntimeError that
-    stopped that lane alone.  Each lane equals its re-solve made alone,
-    bit for bit.
+    remaining horizon (an empty horizon raises ValueError).  Lane i
+    re-solves from ``warm_starts[i]`` (all on one mesh) with x(t_start)
+    pinned to ``x0[i]`` and, for desensitized methods, S(t_start) to
+    ``s0[i]`` (``s0`` a sequence, or None), while the terminal
+    condition stays in force; all lanes run one lock-stepped
+    solve chain (:func:`_solve_on`).  Returns one entry per lane:
+    ``(trajectory, solution, iterations)``, the last summing every SQP
+    attempt of the chain, or the RuntimeError that stopped that lane
+    alone.  Each lane equals its re-solve made alone, bit for bit.
     """
     mesh = base_mesh.with_time_domain(float(t_start), float(tf))
-    one = isinstance(warm_start, Trajectory)
-    warms = [warm_start] if one else list(warm_start)
-    x0s = [x0] if one else list(x0)
-    s0s = [s0] if one else ([None] * len(warms) if s0 is None else list(s0))
     problems = [ocp.with_initial_state(x, time_domain=(float(t_start),
                                                        float(tf)))
-                for x in x0s]
-    results = _solve_on(problems, spec if cfg.desensitized else None, s0s,
-                        mesh, cfg.solver,
-                        f"guidance re-solve on [{t_start}, {tf}]", warms)
-    if not one:
-        return results
-    if isinstance(results[0], RuntimeError):
-        raise results[0]
-    return results[0]
+                for x in x0]
+    return _solve_on(problems, spec if cfg.desensitized else None,
+                     [None] * len(problems) if s0 is None else s0, mesh,
+                     cfg.solver, f"guidance re-solve on [{t_start}, {tf}]",
+                     warm_starts)
 
 
 def _check_solved(cfg: GuidanceConfig, traj: Trajectory, name: str,
@@ -460,10 +448,11 @@ def nominal_first_resolve(ocp: OcpDefinition, spec, cfg: GuidanceConfig,
     try:
         sim = integrate(ocp, traj, traj.state_at(t0), (t0, t_end))
         x0, s0 = restart_conditions(traj, sim, t_end)
-        return _resolve_cycle(ocp, spec, cfg, cfg.mesh, x0, s0, t_end, tf,
-                              traj)[0]
+        result, = _resolve_cycle(ocp, spec, cfg, cfg.mesh, [x0], [s0], t_end,
+                                 tf, [traj])
     except RuntimeError:
         return None
+    return None if isinstance(result, RuntimeError) else result[0]
 
 
 def run_mission(ocp: OcpDefinition, spec, cfg: GuidanceConfig,

@@ -133,8 +133,9 @@ def test_remap_at_t0_reproduces_reference(problem, oc_mission):
     ocp, _ = problem
     ref = oc_mission.trajectories[0]
     cfg = GuidanceConfig(method="OG")
-    again, _, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
-                                 ref.state_at(0.0), None, 0.0, 50.0, ref)
+    (again, _, _), = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                                    [ref.state_at(0.0)], None, 0.0, 50.0,
+                                    [ref])
     for t in np.linspace(0.0, 50.0, 101):
         assert again.state_at(t)[0] == pytest.approx(ref.state_at(t)[0],
                                                      abs=1e-9)
@@ -145,8 +146,9 @@ def test_remap_dp_consistency_plain(problem, oc_mission):
     ref = oc_mission.trajectories[0]
     truth = integrate(ocp, ref, ref.state_at(0.0), (0.0, 4.0))
     cfg = GuidanceConfig(method="OG")
-    tail, _, _ = _resolve_cycle(ocp, None, cfg, example_mesh(),
-                                truth.terminal_state, None, 4.0, 50.0, ref)
+    (tail, _, _), = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                                   [truth.terminal_state], None, 4.0, 50.0,
+                                   [ref])
     assert tail.t0 == 4.0 and tail.tf == 50.0
     assert tail.interval_times[0] == pytest.approx(4.0, abs=1e-12)
     assert tail.interval_times[-1] == pytest.approx(50.0, abs=1e-12)
@@ -161,9 +163,10 @@ def test_remap_dp_consistency_desensitized(problem, doc_mission):
     ref = doc_mission.trajectories[0]
     truth = integrate(ocp, ref, ref.state_at(0.0), (0.0, 4.0))
     cfg = GuidanceConfig(method="DOG")
-    tail, _, _ = _resolve_cycle(ocp, spec, cfg, example_mesh(),
-                                truth.terminal_state, ref.sensitivity_at(4.0),
-                                4.0, 50.0, ref)
+    (tail, _, _), = _resolve_cycle(ocp, spec, cfg, example_mesh(),
+                                   [truth.terminal_state],
+                                   [ref.sensitivity_at(4.0)], 4.0, 50.0,
+                                   [ref])
     for t in np.linspace(4.0, 50.0, 101):
         assert tail.state_at(t)[0] == pytest.approx(ref.state_at(t)[0],
                                                     abs=1e-5)
@@ -174,7 +177,7 @@ def test_remap_rejects_empty_horizon(problem, oc_mission):
     ref = oc_mission.trajectories[0]
     with pytest.raises(ValueError, match="t0 < tf"):
         _resolve_cycle(ocp, None, GuidanceConfig(method="OG"), example_mesh(),
-                       np.array([1.0]), None, 50.0, 50.0, ref)
+                       [np.array([1.0])], None, 50.0, 50.0, [ref])
 
 
 def test_guided_mission_structure(dog_mission):
@@ -296,15 +299,17 @@ def test_reference_failure_is_recorded(problem):
     assert "converge" in mission.message
 
 
-def test_failed_resolve_raises_in_remap(problem, oc_mission):
+def test_failed_resolve_is_returned_in_remap(problem, oc_mission):
+    # a lane's failed chain is its entry, not an exception
     ocp, _ = problem
     ref = oc_mission.trajectories[0]
     cfg = GuidanceConfig(
         method="OG", solver=SolverOptions(kkt_tolerance=1e-15,
                                           max_iterations=2))
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _resolve_cycle(ocp, None, cfg, example_mesh(), np.array([5.0]), None,
-                       4.0, 50.0, ref)
+    result, = _resolve_cycle(ocp, None, cfg, example_mesh(),
+                             [np.array([5.0])], None, 4.0, 50.0, [ref])
+    assert isinstance(result, RuntimeError)
+    assert "did not converge" in str(result)
 
 
 @pytest.mark.parametrize("method, least_attempts", [("OG", 2), ("DOG", 3)],

@@ -731,6 +731,58 @@ def test_lock_stepped_lanes_equal_their_solo_solves():
     assert set(rounds) == {2} and len(rounds) < len(solo_calls)
 
 
+def test_lock_stepped_lanes_pin_their_hook_call_census():
+    # the four lanes of test_lock_stepped_lanes_equal_their_solo_solves:
+    # each turn serves every pending request of one kind in one stacked
+    # call, Hessian before trial points before accepted points, so a
+    # scheduler that splits a round or serves the kinds out of order
+    # changes these counts
+    from guidedog.guidance import GuidanceConfig, _warm_vectors, solve_reference
+
+    ocp, _ = example_problem()
+    reference, _ = solve_reference(ocp, None, GuidanceConfig(method="OC"))
+    mesh = example_mesh().with_time_domain(4.0, 50.0)
+    pins = np.array([reference.state_at(4.0), [8.0], [9.0], [1e4]])
+    nlp = transcribe(ocp.with_initial_state(pins[0], time_domain=(4.0, 50.0)),
+                     mesh, initial_states=pins)
+    Z = _warm_vectors([reference] * 4, nlp, pins)
+    mu = estimate_multipliers(nlp, Z)
+    H = nlp.lagrangian_hessian(Z, mu)
+    calls = {}
+    for name in ("objective", "constraints", "gradient", "jacobian",
+                 "lagrangian_hessian"):
+        def call(z, *args, name=name, hook=getattr(nlp, name)):
+            calls.setdefault(name, []).append(len(z))
+            return hook(z, *args)
+        setattr(nlp, name, call)
+    sols = sqp.solve_lanes(nlp, Z, SolverOptions(max_iterations=20),
+                           hessian0=H, multipliers0=mu)
+    assert [sol.status for sol in sols] == [
+        "converged", "converged", "max-iterations", "line-search-failure"]
+    assert {name: len(rows) for name, rows in calls.items()} == {
+        "objective": 151, "constraints": 151, "gradient": 21,
+        "jacobian": 21, "lagrangian_hessian": 1}
+    assert sum(sum(rows) for rows in calls.values()) == 477
+    # every lane's start point in one call per hook
+    assert [calls[name][0] for name in ("objective", "constraints",
+                                        "gradient", "jacobian")] == [4] * 4
+
+
+def test_a_misshaped_lane_seed_is_rejected_before_any_hook_call():
+    ocp, _ = example_problem()
+    mesh = build_mesh(0.0, 50.0, 2, 3)
+    nlp = transcribe(ocp, mesh, initial_states=np.array([[1.5], [1.2]]))
+    z = initial_guess(ocp, mesh)
+    calls = []
+    for name in ("objective", "constraints", "gradient", "jacobian",
+                 "lagrangian_hessian"):
+        setattr(nlp, name, lambda *args, name=name: calls.append(name))
+    seeds = [np.eye(z.size), np.eye(z.size - 1)]
+    with pytest.raises(ValueError, match="hessian0 has shape"):
+        sqp.solve_lanes(nlp, np.stack([z, z]), hessian0=seeds)
+    assert calls == []
+
+
 def test_lanes_must_match_the_nlp():
     ocp, _ = example_problem()
     mesh = build_mesh(0.0, 50.0, 2, 3)
