@@ -16,7 +16,7 @@ per-lane reduction in a fixed order, so a lane's flight is bit for bit
 the same whichever lanes fly beside it; a lane that fails stops alone.
 An explicit Runge-Kutta step knows all its stage times before it
 computes any stage state, so each step attempt reads every lane's stage
-controls in one :func:`~guidedog.trajectory.control_reader` call; each
+controls in one :func:`~guidedog.trajectory.interval_reader` call; each
 row equals the lane's own :meth:`Trajectory.interval_values` query, bit
 for bit.
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ocp import OcpDefinition
-from .trajectory import Trajectory, control_reader
+from .trajectory import Trajectory, interval_reader
 
 __all__ = ["SimResult", "check_params", "integrate"]
 
@@ -207,7 +207,8 @@ def integrate(ocp: OcpDefinition, traj, x0, span, p_tilde=None,
         k = int(first.locate(0.5 * (a + b)))
 
         def bind(ids, k=k):
-            return params[ids], control_reader([trajs[i] for i in ids], k)
+            return params[ids], interval_reader([trajs[i] for i in ids], k,
+                                               control=True)
 
         lanes, x, h_abs = _dop853(ocp.dynamics, bind, lanes, float(a), x,
                                   float(b), rtol, abs_tol, h_abs, steps,
@@ -274,7 +275,7 @@ def _dop853(dynamics, bind, lanes, t, y, t_end, rtol, atol, h_abs, steps,
     time, step size, error test and accept/reject sequence.
 
     ``bind(ids)`` returns the parameter rows and the control reader
-    (:func:`~guidedog.trajectory.control_reader`) of those lanes, and
+    (:func:`~guidedog.trajectory.interval_reader`) of those lanes, and
     each stage calls ``dynamics(x, u, p, t)`` once on the stacked rows
     of every lane still flying.  Each step attempt reads all its stage
     controls in one reader call (the last stage, c = 1, is the step's

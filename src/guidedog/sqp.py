@@ -409,8 +409,11 @@ def _lane(nlp: NlpProblem, z: np.ndarray, opts: SolverOptions, hessian0,
     # previous accepted step are essentially free and tight near the
     # solution, so a fresh least-squares estimate is only computed when
     # neither they nor a caller-provided seed are available.
-    lam_check = (np.asarray(multipliers0, dtype=float) if multipliers0
-                 is not None and np.size(multipliers0) == m else None)
+    lam_check = (None if multipliers0 is None
+                 else np.asarray(multipliers0, dtype=float))
+    if lam_check is not None and lam_check.shape != (m,):
+        raise ValueError(f"multipliers0 has shape {lam_check.shape}, "
+                         f"expected {(m,)}")
     nu = 1.0
     if lam_check is not None and m:
         nu = max(nu, 2.0 * float(np.max(np.abs(lam_check))))
@@ -516,14 +519,15 @@ def solve_lanes(nlp: NlpProblem, guesses, opts: Optional[SolverOptions] = None,
 
     Row i is lane i of ``nlp``, which must have P lanes (a lane-stacked
     NLP when P > 1, see :class:`NlpProblem`); ``hessian0`` and
-    ``multipliers0`` are None or one seed per lane.  Each lane is one
-    :func:`_lane` generator with its own iterate, quasi-Newton matrix,
-    penalty, line search, status and trace.  Each turn serves every
-    pending request of the lowest kind (Hessian < trial < accepted
-    point) with one call per hook on the stack of the requesting lanes,
-    so each SQP iteration's line-search rounds line up across lanes; a
-    single lane calls the hooks on its vector.  Returns one
-    :class:`NlpSolution` per lane, each the bytes of its lane solved
+    ``multipliers0`` are None or one seed per lane, an (n, n) matrix
+    and an (m,) vector, else ValueError before any hook call.  Each
+    lane is one :func:`_lane` generator with its own iterate,
+    quasi-Newton matrix, penalty, line search, status and trace.  Each
+    turn serves every pending request of the lowest kind (Hessian <
+    trial < accepted point) with one call per hook on the stack of the
+    requesting lanes, so each SQP iteration's line-search rounds line up
+    across lanes; a single lane calls the hooks on its vector.  Returns
+    one :class:`NlpSolution` per lane, each the bytes of its lane solved
     alone.
     """
     opts = opts or SolverOptions()
@@ -534,6 +538,9 @@ def solve_lanes(nlp: NlpProblem, guesses, opts: Optional[SolverOptions] = None,
     P = Z.shape[0]
     if P != nlp.lanes:
         raise ValueError(f"{P} guesses for an NLP of {nlp.lanes} lanes")
+    for name, seeds in (("hessian0", hessian0), ("multipliers0", multipliers0)):
+        if seeds is not None and len(seeds) != P:
+            raise ValueError(f"{name} has {len(seeds)} entries for {P} lanes")
     lanes = [_lane(nlp, z, opts, None if hessian0 is None else hessian0[i],
                    None if multipliers0 is None else multipliers0[i])
              for i, z in enumerate(Z)]

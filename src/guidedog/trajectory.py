@@ -4,11 +4,12 @@ A :class:`Trajectory` stores the per-interval state/control samples of
 a collocated solution together with the mesh geometry, and evaluates
 state, control and sensitivity at a time or an array of times inside
 its span by barycentric Lagrange interpolation over the owning mesh
-interval (right-continuous at interfaces).  :meth:`Trajectory.interval_values`
+interval (right-continuous at interfaces).  :func:`interval_reader`
 evaluates one interval's own polynomial, up to and including its right
-end; each row of an array query equals the same time queried alone, bit
-for bit.  At a stored sample time the stored sample itself is returned.
-A time outside the span, or NaN, raises ValueError.
+end, for one trajectory or a lane each of P, and every other read goes
+through it; each row of an array query equals the same time queried
+alone, bit for bit.  At a stored sample time the stored sample itself
+is returned.  A time outside the span, or NaN, raises ValueError.
 State polynomials are supported on the N_k collocation nodes plus the
 right endpoint; control polynomials on the N_k collocation nodes only,
 evaluated across the whole interval (the standard Radau convention for
@@ -23,7 +24,7 @@ import numpy as np
 
 from .lgr import barycentric_eval, basis, interval_node_times
 
-__all__ = ["Trajectory", "control_reader", "sample_lanes"]
+__all__ = ["Trajectory", "interval_reader", "sample_lanes"]
 
 
 @dataclass
@@ -87,14 +88,10 @@ class Trajectory:
 
         Reads interval k even at its right end, where the locating
         methods switch to k + 1; times outside it are clamped to it.
+        An index outside 0..K-1 raises ValueError.
         """
-        tau = self._clamped_tau(k, np.asarray(times, dtype=float))
-        bas = basis(self.orders[k])
-        if control:
-            return barycentric_eval(self._control_taus[k], bas.node_bary,
-                                    self.control_values[k], tau)
-        return barycentric_eval(self._state_taus[k], bas.support_bary,
-                                self.state_values[k], tau)
+        times = np.asarray(times, dtype=float)
+        return interval_reader([self], k, control)(times[None])[0]
 
     def _located(self, t, control: bool) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -127,19 +124,6 @@ class Trajectory:
         return self.full_state_at(times), self.control_at(times)
 
 
-def _interval_lanes(trajs, k: int, control: bool):
-    """Interval k's local nodes and barycentric weights, shared by every
-    trajectory of ``trajs``, and their (P, N, width) samples (a view of
-    a single trajectory's own)."""
-    first, bas = trajs[0], basis(trajs[0].orders[k])
-    values = [(traj.control_values if control else traj.state_values)[k]
-              for traj in trajs]
-    values = values[0][None] if len(values) == 1 else np.stack(values)
-    if control:
-        return first._control_taus[k], bas.node_bary, values
-    return first._state_taus[k], bas.support_bary, values
-
-
 def sample_lanes(trajs, times, control: bool = False) -> np.ndarray:
     """Every trajectory in ``trajs``, a lane each, at the same ``times``
     (q,), in one lane-axis barycentric pass per mesh interval.
@@ -156,23 +140,30 @@ def sample_lanes(trajs, times, control: bool = False) -> np.ndarray:
     out = np.empty((len(trajs), times.size, width))
     for k in np.unique(owner):
         sel = owner == k
-        tau = first._clamped_tau(k, times[sel])
-        out[:, sel] = barycentric_eval(*_interval_lanes(trajs, k, control),
-                                       tau[None].repeat(len(trajs), axis=0))
+        out[:, sel] = interval_reader(trajs, k, control)(
+            times[sel][None].repeat(len(trajs), axis=0))
     return out
 
 
-def control_reader(trajs, k: int):
-    """Interval k's control polynomial of every trajectory in ``trajs``,
-    a lane each, as one function of ``times`` (P, q) returning
-    (P, q, n_controls).
+def interval_reader(trajs, k: int, control: bool = False):
+    """Interval k's full-state (with ``control``, control) polynomial of
+    every trajectory in ``trajs``, a lane each, as one function of
+    ``times`` (P, ...) returning (P, ..., width).
 
-    Lane i reads ``trajs[i]`` at ``times[i]`` exactly as
-    ``trajs[i].interval_values(k, times[i], control=True)`` would, bit
-    for bit.  The trajectories must share one mesh; the caller checks
-    that.
+    Lane i reads ``trajs[i]`` at ``times[i]``, clamped to interval k,
+    and each row is that time read alone, bit for bit.  The
+    trajectories must share one mesh; the caller checks that.  An index
+    k outside 0..K-1 raises ValueError.
     """
     first = trajs[0]
-    nodes, weights, values = _interval_lanes(trajs, k, control=True)
+    if not 0 <= k < first.n_intervals:
+        raise ValueError(f"interval {k} outside 0..{first.n_intervals - 1}")
+    bas = basis(first.orders[k])
+    nodes, weights = ((first._control_taus[k], bas.node_bary) if control
+                      else (first._state_taus[k], bas.support_bary))
+    values = [(traj.control_values if control else traj.state_values)[k]
+              for traj in trajs]
+    # a single trajectory's samples are read as a view, not a copy
+    values = values[0][None] if len(values) == 1 else np.stack(values)
     return lambda times: barycentric_eval(
         nodes, weights, values, first._clamped_tau(k, times))

@@ -206,7 +206,8 @@ class NlpProblem:
     (Q, m) stack of multipliers.  Row i of each result is the bytes
     the single-lane problem of its lane returns for that row alone, so
     lanes solved together equal lanes solved alone.  A single vector
-    ``z`` is lane 0 and gets the single-lane results.
+    ``z`` is lane 0 and gets the single-lane results, shaped as one
+    row without its lane axis (the objective a 0-d array).
     """
 
     n_vars: int
@@ -330,10 +331,13 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
     ``initial_states``, a (P, n) stack of the problem's full initial
     state with each lane's own values in the same pinned (non-NaN)
     components, makes the NLP lane-stacked (see :class:`NlpProblem`):
-    lane i pins x(t0) to row i in place of ``initial_state``.  A hook
-    called on a stack evaluates each callback once on every row's
-    collocation points; the quadrature sums and the differencing
-    product stay per row.
+    lane i pins x(t0) to row i in place of ``initial_state``.  Every
+    hook works on the (Q, n_vars) stack with the lane as a leading
+    array axis, a vector as the one-row stack: each callback is
+    evaluated once on every row's collocation points, the defects are
+    one product of the stacked differentiation matrix with the stack,
+    and each row's quadrature is its own (1, C) @ (C, 1) product, so
+    row i sums as lane i alone does.
 
     The derivative hooks share one per-point block map: collocation
     point i owns the defect rows ``point_rows[i]`` and the columns
@@ -404,10 +408,6 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
         return np.asarray(ocp.running_cost(X, U, times),
                           dtype=float).reshape(-1)
 
-    def lane_stack(z):
-        # a (Q, n_vars) stack of lanes, and whether z was one vector
-        return (z[None], True) if z.ndim == 1 else (z, False)
-
     tiled = {1: times}
 
     def tiled_times(M):
@@ -418,10 +418,11 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
         return tiled[M]
 
     def lane_points(Z):
-        # every lane's collocation states and controls, lane-major
+        # every lane's support states, and the collocation states and
+        # controls of all lanes, lane-major
         X, U = layout.split(Z)
-        Q = len(Z)
-        return X, X[:, :-1].reshape(Q * C, na), U.reshape(Q * C, nu)
+        M = len(Z) * C
+        return X, X[:, :-1].reshape(M, na), U.reshape(M, nu)
 
     def point_batch(Z):
         # one (na + nu) row of [x_i, u_i] per collocation point of each
@@ -437,53 +438,48 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
     n_rows = C * na + init_idx.size + term_idx.size
 
     def constraints(z: np.ndarray, lanes=None) -> np.ndarray:
-        Z, one = lane_stack(z)
+        Z = z.reshape(-1, n_vars)
         X, Xc, Uc = lane_points(Z)
         F = eval_rates(Xc, Uc, tiled_times(len(Z))).reshape(len(Z), C, na)
         pins = init_vals[:len(Z)] if lanes is None else init_vals[lanes]
-        rows = [np.concatenate([(diff_block @ Xi - h_point[:, None] * Fi).ravel(),
-                                Xi[0, init_idx] - pin,
-                                Xi[-1, term_idx] - term_vals])
-                for Xi, Fi, pin in zip(X, F, pins)]
-        return rows[0] if one else np.array(rows)
+        rows = np.concatenate([
+            (diff_block @ X - h_point[:, None] * F).reshape(len(Z), -1),
+            X[:, 0, init_idx] - pins, X[:, -1, term_idx] - term_vals], axis=1)
+        return rows.reshape(z.shape[:-1] + (n_rows,))
 
     def endpoint_cost(V):
         # the Mayer term on a batch of [x(t0), x(tf)] rows
         return np.asarray(ocp.terminal_cost(V[:, :na], t0, V[:, na:], tf),
                           dtype=float).reshape(-1)
 
-    def lane_objective(Xi, running):
-        value = float(w_scaled @ running)
-        if ocp.terminal_cost is not None:
-            value += float(ocp.terminal_cost(Xi[0], t0, Xi[-1], tf))
-        return value
-
     def objective(z: np.ndarray):
-        Z, one = lane_stack(z)
-        X, Xc, Uc = lane_points(Z)
-        running = eval_running(Xc, Uc, tiled_times(len(Z))).reshape(len(Z), C)
-        values = [lane_objective(Xi, r) for Xi, r in zip(X, running)]
-        return values[0] if one else np.array(values)
+        # each lane's quadrature is its own (1, C) @ (C, 1) product, which
+        # sums as w_scaled @ running of that lane alone; a (Q, C) @ (C,)
+        # product need not
+        Z = z.reshape(-1, n_vars)
+        _, Xc, Uc = lane_points(Z)
+        running = eval_running(Xc, Uc, tiled_times(len(Z)))
+        value = (w_scaled @ running.reshape(len(Z), C, 1))[:, 0]
+        if ocp.terminal_cost is not None:
+            value = value + endpoint_cost(Z[:, end_vars])
+        return value.reshape(z.shape[:-1])
 
     def gradient(z: np.ndarray) -> np.ndarray:
         # Quadrature costs are separable across collocation points, so
         # the gradient needs one central difference per state/control
         # dimension, all of them evaluated for all points in one call.
-        Z, one = lane_stack(z)
+        Z = z.reshape(-1, n_vars)
         g = np.zeros(Z.shape)
         if ocp.running_cost is not None:
             V = point_batch(Z)
-            blocks = w_scaled[:, None] * _central_differences(
+            g[:, point_vars] += w_scaled[:, None] * _central_differences(
                 stacked(eval_running), V, 1e-6, np.empty_like(V)
             ).reshape(len(Z), C, -1)
-            for gi, block in zip(g, blocks):
-                gi[point_vars] += block
         if ocp.terminal_cost is not None:
             ends = Z[:, end_vars]
-            for gi, block in zip(g, _central_differences(
-                    endpoint_cost, ends, 1e-6, np.empty_like(ends))):
-                gi[end_vars] += block
-        return g[0] if one else g
+            g[:, end_vars] += _central_differences(endpoint_cost, ends, 1e-6,
+                                                   np.empty_like(ends))
+        return g.reshape(z.shape)
 
     hess_step = float(np.finfo(float).eps) ** 0.25
 
@@ -499,7 +495,7 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
         differencing part of the defects and the pins are linear and
         drop out.
         """
-        Z, one = lane_stack(z)
+        Z = z.reshape(-1, n_vars)
         Q = len(Z)
         lam_defect = np.asarray(multipliers, dtype=float)[..., : C * na]
         weight = h_point[:, None] * lam_defect.reshape(Q, C, na)
@@ -512,15 +508,14 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
                 val = val + w_scaled * stacked(eval_running)(W).reshape(-1, Q, C)
             return val.ravel()
 
-        hess = np.zeros((Q, layout.n_vars, layout.n_vars))
+        hess = np.zeros((Q, n_vars, n_vars))
         blocks = _second_differences(point_scalar, point_batch(Z), hess_step)
-        for hi, block in zip(hess, blocks.reshape(Q, C, na + nu, na + nu)):
-            hi[point_vars[:, :, None], point_vars[:, None, :]] += block
+        hess[:, point_vars[:, :, None], point_vars[:, None, :]] += \
+            blocks.reshape(Q, C, na + nu, na + nu)
         if ocp.terminal_cost is not None:
-            for hi, block in zip(hess, _second_differences(
-                    endpoint_cost, Z[:, end_vars], hess_step)):
-                hi[np.ix_(end_vars, end_vars)] += block
-        return hess[0] if one else hess
+            hess[:, end_vars[:, None], end_vars] += _second_differences(
+                endpoint_cost, Z[:, end_vars], hess_step)
+        return hess.reshape(z.shape[:-1] + (n_vars, n_vars))
 
     # --- constraint Jacobian ----------------------------------------------
     # The differencing part of the defects and the state pins are linear in
@@ -535,7 +530,7 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
 
     def jacobian(z: np.ndarray) -> np.ndarray:
         # the template minus h_i * df/d(x_i, u_i) in every point block
-        Z, one = lane_stack(z)
+        Z = z.reshape(-1, n_vars)
         V = point_batch(Z)
         Fj = np.empty((V.shape[0], na, na + nu))
         first = 0
@@ -547,10 +542,9 @@ def transcribe(problem, mesh: Mesh, initial_states=None) -> NlpProblem:
             first = na
         _central_differences(stacked(eval_rates), V, jac_step, Fj, first)
         J = np.repeat(jac_static[None], len(Z), axis=0)
-        blocks = h_point[:, None, None] * Fj.reshape(len(Z), C, na, na + nu)
-        for Ji, block in zip(J, blocks):
-            Ji[point_rows[:, :, None], point_vars[:, None, :]] -= block
-        return J[0] if one else J
+        J[:, point_rows[:, :, None], point_vars[:, None, :]] -= \
+            h_point[:, None, None] * Fj.reshape(len(Z), C, na, na + nu)
+        return J.reshape(z.shape[:-1] + (n_rows, n_vars))
 
     return NlpProblem(
         n_vars=layout.n_vars,

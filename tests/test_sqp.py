@@ -780,6 +780,22 @@ def test_a_misshaped_lane_seed_is_rejected_before_any_hook_call():
     seeds = [np.eye(z.size), np.eye(z.size - 1)]
     with pytest.raises(ValueError, match="hessian0 has shape"):
         sqp.solve_lanes(nlp, np.stack([z, z]), hessian0=seeds)
+    # one seed short of the lanes: an IndexError once a lane started
+    with pytest.raises(ValueError, match="hessian0 has 1 entries for 2"):
+        sqp.solve_lanes(nlp, np.stack([z, z]), hessian0=seeds[:1])
+    lam = np.zeros(nlp.n_constraints)
+    with pytest.raises(ValueError, match="multipliers0 has 1 entries for 2"):
+        sqp.solve_lanes(nlp, np.stack([z, z]), multipliers0=[lam])
+    with pytest.raises(ValueError, match="multipliers0 has shape"):
+        sqp.solve_lanes(nlp, np.stack([z, z]), multipliers0=[lam, lam[:-3]])
+    # a one-lane solve whose multiplier seed is short: it used to drop
+    # the seed and start from its own estimate and a unit penalty
+    alone = transcribe(ocp, mesh)
+    for name in ("objective", "constraints", "gradient", "jacobian",
+                 "lagrangian_hessian"):
+        setattr(alone, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="multipliers0 has shape"):
+        solve(alone, z, hessian0=np.eye(z.size), multipliers0=lam[:-3])
     assert calls == []
 
 

@@ -1,11 +1,12 @@
 """Property tests for barycentric evaluation of a solved Trajectory."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from guidedog import simulation
 from guidedog.lgr import basis, interval_node_times
 from guidedog.ocp import example_problem
-from guidedog.trajectory import Trajectory, sample_lanes
+from guidedog.trajectory import Trajectory, interval_reader, sample_lanes
 from guidedog.transcription import (
     build_mesh,
     example_mesh,
@@ -149,6 +150,26 @@ def test_interval_values_reproduce_own_polynomial_at_right_end(case):
         ends = traj.interval_values(k, np.array([a, b]), control=True)
         assert ends.shape == (2, 1)
         assert abs(ends[1, 0] - c(b)) <= 1e-9 * scale
+
+
+def test_an_interval_index_outside_the_mesh_is_rejected():
+    # k = -1 used to read the last interval's samples through the wrong
+    # bounds, and k = K raised IndexError
+    rng = np.random.default_rng(11)
+    orders = (3, 4, 2, 5, 3)
+    traj = Trajectory(
+        t0=0.0, tf=50.0, interval_times=np.linspace(0.0, 50.0, 6),
+        orders=orders,
+        state_values=[rng.standard_normal((nk + 1, 1)) for nk in orders],
+        control_values=[rng.standard_normal((nk, 1)) for nk in orders],
+        n_states=1)
+    for k in (-1, len(orders), -len(orders)):
+        for control in (False, True):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                traj.interval_values(k, 45.0, control=control)
+            with pytest.raises(ValueError, match="outside 0..4"):
+                interval_reader([traj, traj], k, control)
+    assert traj.interval_values(4, 45.0).shape == (1,)
 
 
 def test_extracted_node_times_come_from_the_shared_function():

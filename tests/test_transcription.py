@@ -729,24 +729,40 @@ def test_derivative_nonzeros_lie_in_the_per_point_block_pattern(
 @settings(max_examples=60, deadline=None)
 @given(lanes=st.integers(1, 6),
        orders=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-       augmented=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_lane_stacked_hooks_equal_each_lane_alone(lanes, orders, augmented,
-                                                  seed):
+       kind=st.sampled_from(("plain", "augmented", "coupled")),
+       seed=st.integers(0, 2**32 - 1))
+def test_lane_stacked_hooks_equal_each_lane_alone(lanes, orders, kind, seed):
     # P re-solve problems that differ only in their pinned x(t0) (and
     # S(t0)), on a random mesh of a random remaining horizon: every hook
     # of the lane-stacked NLP returns, row by row, the bytes of the
-    # single-lane NLP of that lane
+    # single-lane NLP of that lane.  The coupled two-state problem has a
+    # Mayer term on both endpoints, so it reaches the lane-stacked
+    # endpoint scatter and the batched Mayer term at n = 2
     ocp, make_spec = example_problem()
     spec = make_spec(5.0, 0.02)
     rng = np.random.default_rng(seed)
-    t0 = float(rng.uniform(0.0, 40.0))
+    tf = 2.0 if kind == "coupled" else 50.0
+    t0 = float(rng.uniform(0.0, 0.8 * tf))
     widths = rng.uniform(0.2, 1.0, len(orders))
     fractions = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
-    mesh = build_mesh(t0, 50.0, len(orders), orders,
+    mesh = build_mesh(t0, tf, len(orders), orders,
                       fractions=2.0 * fractions - 1.0)
-    problems = [ocp.with_initial_state([x0], time_domain=(t0, 50.0))
-                for x0 in rng.uniform(0.5, 2.0, lanes)]
-    if augmented:
+    if kind == "coupled":
+        ocp = OcpDefinition(
+            n_states=2, n_controls=1, n_params=0,
+            dynamics=_double_integrator, jac_x=None, jac_p=None,
+            running_cost=_coupled_running_cost,
+            terminal_cost=_coupled_terminal_cost,
+            nominal_params=np.zeros(0), time_domain=(t0, tf),
+            terminal_state=np.array([0.0, np.nan]))
+        # the second initial component is free in every lane, or pinned
+        second = np.nan if rng.integers(2) else 1.0
+        problems = [ocp.with_initial_state([x0, second * x1])
+                    for x0, x1 in rng.uniform(-1.0, 1.0, (lanes, 2))]
+    else:
+        problems = [ocp.with_initial_state([x0], time_domain=(t0, tf))
+                    for x0 in rng.uniform(0.5, 2.0, lanes)]
+    if kind == "augmented":
         problems = [augment(p, spec, s0=rng.standard_normal((1, 1)))
                     for p in problems]
     pins = np.stack([getattr(p, "ocp", p).initial_state for p in problems])
