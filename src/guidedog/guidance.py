@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .ocp import OcpDefinition
-from .sensitivity import augment
+from .sensitivity import augment, vec_sensitivity
 from .simulation import check_params, integrate
 from .sqp import (SolverOptions, estimate_multipliers, initial_guess, solve,
                   solve_lanes)
@@ -263,9 +263,8 @@ def _staged_sensitivity_guess(nlp_aug, traj: Trajectory) -> np.ndarray:
     """
     aug = nlp_aug.source
     s = _propagated_sensitivity(aug.base, traj, aug.s0)
-    s_rows = s.transpose(0, 2, 1).reshape(-1, aug.n_x * aug.n_param)
     sup, col = nlp_aug.mesh.node_times()
-    states = np.hstack([traj.full_state_at(sup), s_rows])
+    states = np.hstack([traj.full_state_at(sup), vec_sensitivity(s)])
     return pack_values(nlp_aug.layout, states, traj.control_at(col))
 
 

@@ -119,11 +119,9 @@ def barycentric_weights(points: np.ndarray) -> np.ndarray:
 
 
 def barycentric_eval(nodes, weights, values, tau):
-    """Interpolant through ``(nodes, values)`` at a scalar or array ``tau``.
+    """P interpolants through ``(nodes, values)`` at array queries ``tau``.
 
-    ``values`` is (N,) or (N, w), and the result has shape
-    ``tau.shape + values.shape[1:]``.  With a leading lane axis,
-    ``values`` (P, N, w) holds P sample sets on the same nodes and
+    ``values`` (P, N, w) holds P sample sets on the same N nodes and
     ``tau`` (P, ...) their queries; lane i is read at ``tau[i]``, and
     the result is ``tau.shape + (w,)``.  By the second (true)
     barycentric formula (Berrut & Trefethen, SIAM Review 2004).  A query
@@ -132,13 +130,8 @@ def barycentric_eval(nodes, weights, values, tau):
     BLAS), so each row of an array query, in any lane, is bit-identical
     to the same query made on its own.
     """
-    values = np.asarray(values, dtype=float)
+    lanes = np.asarray(values, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if values.ndim == 3:
-        lanes, shape = values, tau.shape + values.shape[2:]
-    else:
-        lanes = values.reshape(1, values.shape[0], -1)
-        shape = tau.shape + values.shape[1:]
     # (P, q, N) node offsets of each lane's queries
     delta = tau.reshape(lanes.shape[0], -1, 1) - nodes
     hits = () if delta.all() else np.nonzero(delta == 0.0)
@@ -152,7 +145,7 @@ def barycentric_eval(nodes, weights, values, tau):
     out = num / coef.cumsum(axis=2)[:, :, -1, None]
     if hits:
         out[hits[:2]] = lanes[hits[0], hits[2]]
-    return out.reshape(shape)
+    return out.reshape(tau.shape + lanes.shape[2:])
 
 
 def differentiation_matrix(nodes: np.ndarray, noncollocated: float = 1.0) -> np.ndarray:

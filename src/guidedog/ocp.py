@@ -13,6 +13,7 @@ desensitization machinery targets.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,17 +39,17 @@ class OcpDefinition:
     Callbacks must be pure.  ``dynamics(x, u, p, t)`` returns the state
     derivative; ``jac_x`` and ``jac_p`` return A = df/dx (n x n) and
     B = df/dp (n x m); ``running_cost(x, u, t)`` returns the integrand
-    and ``terminal_cost(x0, t0, xf, tf)`` the Mayer term.  Each takes a
-    single point, x of shape (n,), or a stacked batch of P points, x of
-    shape (P, n) with u (P, n_u) and t (P,) (both endpoints (P, n) for
-    ``terminal_cost``), one result per row.  Transcription passes
-    batches, a derivative stencil's in one call, with the shared
-    parameter vector p (m,).  The truth simulation passes the stacked
-    rows of its lanes, at every lane count including one, with one
-    parameter row per lane, p (P, m); an augmented problem flown as a
-    whole passes that same p to ``jac_x`` and ``jac_p``.  So a callback
-    reads the parameter as ``p[..., j]`` (or ``p[..., j:j + 1]``), which
-    serves both forms.
+    and ``terminal_cost(x0, t0, xf, tf)`` the Mayer term.  Each receives
+    a stacked batch of P points, x of shape (P, n) with u (P, n_u) and
+    t (P,) (both endpoints (P, n) for ``terminal_cost``), and returns
+    one result per row; a single point is the one-row stack.
+    Transcription passes batches, a derivative stencil's in one call,
+    with the shared parameter vector p (m,).  The truth simulation
+    passes the stacked rows of its lanes, at every lane count including
+    one, with one parameter row per lane, p (P, m); an augmented problem
+    flown as a whole passes that same p to ``jac_x`` and ``jac_p``.  So
+    a callback reads the parameter as ``p[..., j]`` (or
+    ``p[..., j:j + 1]``), which serves both forms.
     ``initial_state`` / ``terminal_state`` pin state components at the
     endpoints (NaN entries are free); the pins and the collocation
     defects are the problem's only constraints, all equalities.
@@ -72,8 +73,10 @@ class OcpDefinition:
     def __post_init__(self, vectorized):
         if not vectorized:
             raise ValueError("callbacks must accept stacked (P, n) batches")
-        if self.n_states < 1 or self.n_controls < 0 or self.n_params < 0:
-            raise ValueError("state/control/parameter counts out of range")
+        counts = (self.n_states, self.n_controls, self.n_params)
+        if (not all(isinstance(c, Integral) for c in counts)
+                or self.n_states < 1 or min(counts) < 0):
+            raise ValueError("state/control/parameter counts must be integers in range")
         t0, tf = self.time_domain
         if not t0 < tf:
             raise ValueError(f"time domain must satisfy t0 < tf, got ({t0}, {tf})")
@@ -131,10 +134,10 @@ class DesensitizationSpec:
 
 # --- built-in example problem ---------------------------------------------
 #
-# Every callback meets the OcpDefinition contract: a single point (n,)
-# or a stacked batch (P, n) in, one result per point out, with the
-# parameter read as p[..., :1] or p[..., 0], so that a shared p (m,) and
-# one row per point, p (P, m), both work.
+# Every callback meets the OcpDefinition contract: a stacked batch
+# (P, n) in, one result per row out, with the parameter read as
+# p[..., :1] or p[..., 0], so that a shared p (m,) and one row per
+# point, p (P, m), both work.
 
 def _example_dynamics(x, u, p, t):
     a = p[..., :1]

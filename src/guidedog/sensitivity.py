@@ -11,8 +11,8 @@ penalty tr(W . (G S) P (G S)') at the final time, where G is the
 Jacobian of a user-chosen penalty function of the state and P the
 parameter covariance.
 
-vec(S) is column-major throughout: transcription, interpolation and
-guidance restarts all rely on that ordering.
+vec(S) is column-major, and :func:`vec_sensitivity` and its inverse are
+the only code that knows that layout; every other module calls them.
 """
 from __future__ import annotations
 
@@ -27,22 +27,15 @@ __all__ = ["AugmentedOcp", "augment", "penalty_value", "vec_sensitivity", "unvec
 
 
 def vec_sensitivity(s: np.ndarray) -> np.ndarray:
-    """Column-major vectorization of an n x m sensitivity matrix."""
-    return np.asarray(s, dtype=float).ravel(order="F")
+    """Column-major vec of sensitivity matrices, (..., n, m) -> (..., n * m)."""
+    s = np.asarray(s, dtype=float)
+    return s.swapaxes(-1, -2).reshape(s.shape[:-2] + (-1,))
 
 
 def unvec_sensitivity(v: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Inverse of :func:`vec_sensitivity`."""
-    return np.asarray(v, dtype=float).reshape((n, m), order="F")
-
-
-def _unvec_batch(v: np.ndarray, n: int, m: int) -> np.ndarray:
-    # rows of v are column-stacked matrices; (P, n*m) -> (P, n, m)
-    return v.reshape(v.shape[0], m, n).transpose(0, 2, 1)
-
-
-def _vec_batch(s: np.ndarray) -> np.ndarray:
-    return s.transpose(0, 2, 1).reshape(s.shape[0], -1)
+    """Inverse of :func:`vec_sensitivity`, (..., n * m) -> (..., n, m)."""
+    v = np.asarray(v, dtype=float)
+    return v.reshape(v.shape[:-1] + (m, n)).swapaxes(-1, -2)
 
 
 def penalty_value(S, G, W, P):
@@ -53,8 +46,7 @@ def penalty_value(S, G, W, P):
     S, G, W, P = [np.atleast_2d(np.asarray(a, dtype=float))
                   for a in (S, G, W, P)]
     gs = G @ S
-    value = (W @ gs @ P @ gs.swapaxes(-1, -2)).trace(axis1=-2, axis2=-1)
-    return float(value) if value.ndim == 0 else value
+    return (W @ gs @ P @ gs.swapaxes(-1, -2)).trace(axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -64,19 +56,13 @@ class _AugmentedDynamics:
     def __call__(self, xa, u, p, t):
         n, m = self.base.n_states, self.base.n_params
         xa = np.asarray(xa, dtype=float)
-        if xa.ndim == 1:
-            x = xa[:n]
-            S = unvec_sensitivity(xa[n:], n, m)
-            dx = np.asarray(self.base.dynamics(x, u, p, t), dtype=float)
-            dS = self.base.jac_x(x, u, p, t) @ S + self.base.jac_p(x, u, p, t)
-            return np.concatenate((dx, vec_sensitivity(dS)))
         x = xa[:, :n]
-        S = _unvec_batch(xa[:, n:], n, m)
+        S = unvec_sensitivity(xa[:, n:], n, m)
         dx = np.asarray(self.base.dynamics(x, u, p, t), dtype=float)
         A = np.asarray(self.base.jac_x(x, u, p, t), dtype=float)
         B = np.asarray(self.base.jac_p(x, u, p, t), dtype=float)
         dS = np.einsum("pij,pjk->pik", A, S) + B
-        return np.concatenate((dx, _vec_batch(dS)), axis=1)
+        return np.concatenate((dx, vec_sensitivity(dS)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -96,23 +82,19 @@ class _AugmentedTerminalCost:
     spec: DesensitizationSpec
 
     def __call__(self, xa0, t0, xaf, tf):
-        # one pair of endpoint states or stacked rows; G, a single-point
-        # callback, once per distinct x(tf), which a stencil moves rarely
+        # stacked endpoint rows; G, a single-point callback, once per
+        # distinct x(tf), which a stencil moves rarely
         n, m = self.base.n_states, self.base.n_params
         xa0, xaf = np.asarray(xa0, dtype=float), np.asarray(xaf, dtype=float)
-        if xaf.ndim == 1:
-            Sf = unvec_sensitivity(xaf[n:], n, m)
-            G = self.spec.penalty_jacobian(xaf[:n])
-        else:
-            Sf, slot, G, pick = _unvec_batch(xaf[:, n:], n, m), {}, [], []
-            for x in xaf[:, :n]:
-                pick.append(slot.setdefault(x.tobytes(), len(G)))
-                if pick[-1] == len(G):
-                    G.append(self.spec.penalty_jacobian(x))
-            G = np.array(G, dtype=float).reshape(len(G), -1, n)[pick]
+        Sf, slot, G, pick = unvec_sensitivity(xaf[:, n:], n, m), {}, [], []
+        for x in xaf[:, :n]:
+            pick.append(slot.setdefault(x.tobytes(), len(G)))
+            if pick[-1] == len(G):
+                G.append(self.spec.penalty_jacobian(x))
+        G = np.array(G, dtype=float).reshape(len(G), -1, n)[pick]
         out = 0.0
         if self.base.terminal_cost is not None:
-            out = self.base.terminal_cost(xa0[..., :n], t0, xaf[..., :n], tf)
+            out = self.base.terminal_cost(xa0[:, :n], t0, xaf[:, :n], tf)
         return out + penalty_value(Sf, G, self.spec.terminal_weight,
                                    self.spec.param_covariance)
 

@@ -135,20 +135,21 @@ def constraint_violation(nlp: NlpProblem, c: np.ndarray) -> float:
     return float(np.max(np.abs(c - nlp.lower)))
 
 
-def estimate_multipliers(nlp: NlpProblem, point: np.ndarray) -> np.ndarray:
-    """Least-squares multiplier estimate at an arbitrary point.
+def estimate_multipliers(nlp: NlpProblem, points: np.ndarray) -> np.ndarray:
+    """Least-squares multiplier estimates at arbitrary points.
 
     Minimizes the stationarity residual |g + J' lambda| over all rows.
     Near a solution this reproduces the optimal multipliers and makes a
-    good warm-start companion to a Hessian seed.  A (P, n) stack of
-    points, one per lane of a lane-stacked NLP, gives a (P, m) stack
-    from one gradient and one Jacobian call.
+    good warm-start companion to a Hessian seed.  ``points`` is a
+    (P, n_vars) stack, one point per lane of a lane-stacked NLP, and
+    gives a (P, m) stack from one gradient and one Jacobian call; any
+    other shape raises ValueError before either call.
     """
-    z = np.asarray(point, dtype=float)
-    if z.ndim == 1:
-        return _least_squares_multipliers(nlp.gradient(z), nlp.jacobian(z))
+    Z = np.asarray(points, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != nlp.n_vars:
+        raise ValueError(f"points have shape {Z.shape}, expected (P, {nlp.n_vars})")
     return np.array([_least_squares_multipliers(g, J)
-                     for g, J in zip(nlp.gradient(z), nlp.jacobian(z))])
+                     for g, J in zip(nlp.gradient(Z), nlp.jacobian(Z))])
 
 
 def _least_squares_multipliers(g, J):

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .lgr import barycentric_eval, basis, interval_node_times
+from .sensitivity import unvec_sensitivity
 
 __all__ = ["Trajectory", "interval_reader", "sample_lanes"]
 
@@ -41,14 +42,13 @@ class Trajectory:
     sens_shape: Optional[tuple] = None   # (n, m) when sensitivities are carried
     objective: Optional[float] = None        # solved NLP objective
     base_objective: Optional[float] = None   # physical-cost value J
-    state_times: list = field(default_factory=list)
-    control_times: list = field(default_factory=list)
+    state_times: list = field(init=False)     # per interval (N_k + 1,)
+    control_times: list = field(init=False)   # per interval (N_k,)
 
     def __post_init__(self):
         self.interval_times = np.asarray(self.interval_times, dtype=float)
-        if not self.state_times or not self.control_times:
-            self.state_times, self.control_times = interval_node_times(
-                self.interval_times, self.orders)
+        self.state_times, self.control_times = interval_node_times(
+            self.interval_times, self.orders)
         # interpolation nodes: the stored times mapped to local tau by the
         # same arithmetic as a query, so a query at a stored time lands
         # exactly on its node (the canonical LGR node can be an ulp away)
@@ -113,11 +113,8 @@ class Trajectory:
         """Sensitivity S = dx/dp, shape ``t.shape + (n, m)``."""
         if self.sens_shape is None:
             raise ValueError("trajectory carries no sensitivity states")
-        n, m = self.sens_shape
-        t = np.asarray(t, dtype=float)
-        flat = self.full_state_at(t)[..., self.n_states:]
-        # the sensitivity block is stored column-major (vec S)
-        return np.swapaxes(flat.reshape(t.shape + (m, n)), -1, -2)
+        return unvec_sensitivity(self.full_state_at(t)[..., self.n_states:],
+                                 *self.sens_shape)
 
     def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Stacked full-state and control samples at the given times."""

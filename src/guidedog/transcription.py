@@ -594,7 +594,7 @@ def extract_solution(nlp: NlpProblem, z: np.ndarray,
     if isinstance(source, AugmentedOcp):
         # the stored objective includes the sensitivity penalty; keep
         # the physical cost alongside it for reporting and comparisons
-        traj = replace(traj, base_objective=base_objective(traj, source.base))
+        traj.base_objective = base_objective(traj, source.base)
     return traj
 
 
@@ -612,7 +612,7 @@ def base_objective(traj: Trajectory, ocp: OcpDefinition) -> float:
         times = traj.control_times[k]
         total += float(w @ np.asarray(ocp.running_cost(X, U, times), dtype=float))
     if ocp.terminal_cost is not None:
-        x0 = traj.state_values[0][0, :n]
-        xf = traj.state_values[-1][-1, :n]
-        total += float(ocp.terminal_cost(x0, traj.t0, xf, traj.tf))
+        x0 = traj.state_values[0][:1, :n]
+        xf = traj.state_values[-1][-1:, :n]
+        total += float(ocp.terminal_cost(x0, traj.t0, xf, traj.tf)[0])
     return total

@@ -132,9 +132,12 @@ def test_basis_cache_returns_same_object():
 
 
 def _interp(nodes, values, tau):
+    # one sample set, (N,) or (N, w), read at one tau as a one-lane stack
     nodes = np.asarray(nodes, dtype=float)
-    return barycentric_eval(nodes, barycentric_weights(nodes),
-                            np.asarray(values, dtype=float), tau)
+    values = np.asarray(values, dtype=float)
+    out = barycentric_eval(nodes, barycentric_weights(nodes),
+                           values.reshape(1, nodes.size, -1), np.reshape(tau, 1))
+    return out[0].reshape(values.shape[1:])
 
 
 def _one_interval(n, state_fn, control_fn):

@@ -126,6 +126,11 @@ def test_ocp_validation_errors():
         example_ocp_with(initial_state=np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="alpha"):
         example_problem(0.0)
+    # non-integral counts are rejected, not carried into transcription
+    for name in ("n_states", "n_controls", "n_params"):
+        with pytest.raises(ValueError, match="integers"):
+            example_ocp_with(**{name: 1.0})
+    assert example_ocp_with(n_states=np.int64(1)).n_states == 1
 
 
 def example_ocp_with(**overrides):

@@ -7,8 +7,6 @@ from scipy.integrate import solve_ivp
 
 from guidedog.ocp import DesensitizationSpec, OcpDefinition, example_problem
 from guidedog.sensitivity import (
-    _unvec_batch,
-    _vec_batch,
     augment,
     penalty_value,
     unvec_sensitivity,
@@ -112,8 +110,8 @@ def test_augmented_dynamics_example_value():
     # at (x, u, a, S) = (1.5, 0, 2, 0): dS/dt = A*0 + B = -13.5
     ocp, make_spec = example_problem(2.0)
     aug = augment(ocp, make_spec(beta=5.0, q=0.01))
-    rate = aug.ocp.dynamics(np.array([1.5, 0.0]), np.array([0.0]),
-                            np.array([2.0]), 0.0)
+    rate = aug.ocp.dynamics(np.array([[1.5, 0.0]]), np.array([[0.0]]),
+                            np.array([2.0]), 0.0)[0]
     assert_allclose(rate, [-13.5, -13.5])
 
 
@@ -123,9 +121,9 @@ def test_augmented_dynamics_vec_ordering():
     B0 = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
     ocp = OcpDefinition(
         n_states=2, n_controls=0, n_params=3,
-        dynamics=lambda x, u, p, t: A0 @ x + B0 @ p,
-        jac_x=lambda x, u, p, t: A0,
-        jac_p=lambda x, u, p, t: B0,
+        dynamics=lambda x, u, p, t: x @ A0.T + B0 @ p,
+        jac_x=lambda x, u, p, t: np.broadcast_to(A0, (len(x),) + A0.shape),
+        jac_p=lambda x, u, p, t: np.broadcast_to(B0, (len(x),) + B0.shape),
         running_cost=None, terminal_cost=None,
         nominal_params=np.array([0.3, -0.2, 0.5]),
         time_domain=(0.0, 1.0),
@@ -140,29 +138,10 @@ def test_augmented_dynamics_vec_ordering():
     x = rng.standard_normal(2)
     S = rng.standard_normal((2, 3))
     xa = np.concatenate((x, vec_sensitivity(S)))
-    rate = aug.ocp.dynamics(xa, np.zeros(0), ocp.nominal_params, 0.0)
+    rate = aug.ocp.dynamics(xa[None], np.zeros((1, 0)), ocp.nominal_params,
+                            0.0)[0]
     assert_allclose(rate[:2], A0 @ x + B0 @ ocp.nominal_params)
     assert_allclose(unvec_sensitivity(rate[2:], 2, 3), A0 @ S + B0)
-
-
-def test_augmented_batched_matches_single():
-    ocp, make_spec = example_problem(2.0)
-    aug = augment(ocp, make_spec(beta=5.0, q=0.01))
-    rng = np.random.default_rng(5)
-    xa = rng.standard_normal((6, 2))
-    u = rng.standard_normal((6, 1))
-    p = ocp.nominal_params
-    batched = aug.ocp.dynamics(xa, u, p, 0.0)
-    rows = np.stack([aug.ocp.dynamics(xa[i], u[i], p, 0.0) for i in range(6)])
-    assert_allclose(batched, rows, atol=1e-14)
-    cost_b = aug.ocp.running_cost(xa, u, 0.0)
-    cost_r = [aug.ocp.running_cost(xa[i], u[i], 0.0) for i in range(6)]
-    assert_allclose(cost_b, cost_r, atol=1e-14)
-    xf = rng.standard_normal((6, 2))
-    mayer_b = aug.ocp.terminal_cost(xa, 0.0, xf, 50.0)
-    mayer_r = [aug.ocp.terminal_cost(xa[i], 0.0, xf[i], 50.0) for i in range(6)]
-    assert mayer_b.shape == (6,)
-    assert_allclose(mayer_b, mayer_r, rtol=1e-14)
 
 
 def test_zero_weights_degenerate_to_base_cost():
@@ -170,11 +149,12 @@ def test_zero_weights_degenerate_to_base_cost():
     aug = augment(ocp, make_spec(beta=0.0, q=0.01))
     rng = np.random.default_rng(9)
     for _ in range(5):
-        xa = rng.standard_normal(2)
-        u = rng.standard_normal(1)
+        xa = rng.standard_normal((1, 2))
+        u = rng.standard_normal((1, 1))
         assert_allclose(aug.ocp.running_cost(xa, u, 3.0),
-                        ocp.running_cost(xa[:1], u, 3.0))
-        assert aug.ocp.terminal_cost(xa, 0.0, rng.standard_normal(2), 50.0) == 0.0
+                        ocp.running_cost(xa[:, :1], u, 3.0))
+        assert aug.ocp.terminal_cost(xa, 0.0, rng.standard_normal((1, 2)),
+                                     50.0) == 0.0
 
 
 def test_sensitivity_analytic_linear_oracle():
@@ -182,8 +162,8 @@ def test_sensitivity_analytic_linear_oracle():
     ocp = OcpDefinition(
         n_states=1, n_controls=0, n_params=1,
         dynamics=lambda x, u, p, t: p[0] * x,
-        jac_x=lambda x, u, p, t: np.array([[p[0]]]),
-        jac_p=lambda x, u, p, t: np.array([x[0]]).reshape(1, 1),
+        jac_x=lambda x, u, p, t: np.full((len(x), 1, 1), p[0]),
+        jac_p=lambda x, u, p, t: x[:, :, None],
         running_cost=None, terminal_cost=None,
         nominal_params=np.array([0.7]),
         time_domain=(0.0, 2.0),
@@ -191,7 +171,8 @@ def test_sensitivity_analytic_linear_oracle():
     aug = augment(ocp, scalar_spec())
     x0 = 1.3
     sol = solve_ivp(
-        lambda t, y: aug.ocp.dynamics(y, np.zeros(0), ocp.nominal_params, t),
+        lambda t, y: aug.ocp.dynamics(y[None], np.zeros((1, 0)),
+                                      ocp.nominal_params, t)[0],
         (0.0, 2.0), [x0, 0.0], rtol=1e-11, atol=1e-12, method="DOP853",
     )
     s_end = sol.y[1, -1]
@@ -217,7 +198,8 @@ def test_sensitivity_matches_central_differences():
         return sol.y[0, -1]
 
     sol = solve_ivp(
-        lambda t, y: aug.ocp.dynamics(y, control(t), np.array([alpha]), t),
+        lambda t, y: aug.ocp.dynamics(y[None], control(t)[None],
+                                      np.array([alpha]), t)[0],
         (0.0, 50.0), [1.5, 0.0], rtol=1e-11, atol=1e-12, method="DOP853",
     )
     s_end = sol.y[1, -1]
@@ -250,13 +232,30 @@ def test_unvec_inverts_vec_bit_for_bit(stack):
 @given(sensitivity_stacks())
 def test_batched_vec_matches_per_row_column_major(stack):
     P, n, m = stack.shape
-    rows = _vec_batch(stack)
+    rows = vec_sensitivity(stack)
     assert rows.shape == (P, n * m)
     for i in range(P):
         assert rows[i].tobytes() == vec_sensitivity(stack[i]).tobytes()
         assert rows[i].tobytes() == stack[i].ravel(order="F").tobytes()
-    mats = _unvec_batch(rows, n, m)
+    mats = unvec_sensitivity(rows, n, m)
     assert mats.shape == (P, n, m)
     for i in range(P):
         assert mats[i].tobytes() == unvec_sensitivity(rows[i], n, m).tobytes()
         assert mats[i].tobytes() == stack[i].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+                 st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_finite)))
+def test_vec_of_any_leading_axes_is_each_matrix_column_major(stack):
+    # an (A, B, n, m) stack: vec and unvec act on the last two axes only
+    A, B, n, m = stack.shape
+    rows = vec_sensitivity(stack)
+    assert rows.shape == (A, B, n * m)
+    back = unvec_sensitivity(rows, n, m)
+    assert back.shape == stack.shape
+    for a in range(A):
+        for b in range(B):
+            assert rows[a, b].tobytes() == stack[a, b].ravel(order="F").tobytes()
+            assert back[a, b].tobytes() == stack[a, b].tobytes()

@@ -319,7 +319,7 @@ def test_quasi_newton_update_is_made_only_for_a_next_step(monkeypatch):
     # a seeded re-solve from a nearby point converges in a step or two
     del calls[:]
     z = cold.z + 1e-5 * np.random.default_rng(3).standard_normal(cold.z.size)
-    lam = estimate_multipliers(nlp, z)
+    lam = estimate_multipliers(nlp, z[None])[0]
     warm = solve(nlp, z, hessian0=nlp.lagrangian_hessian(z, lam),
                  multipliers0=lam)
     assert warm.converged and warm.iterations >= 1
@@ -357,10 +357,28 @@ def test_initial_guess_descends_monotonically_in_time():
 
 
 def test_estimate_multipliers_recovers_hand_qp_multiplier():
-    nlp = _hand_qp()
-    lam = estimate_multipliers(nlp, np.array([2.0, 1.0]))
+    # the hand QP's hooks take one point only, so its least-squares
+    # estimate is formed from their values directly
+    nlp, z = _hand_qp(), np.array([2.0, 1.0])
+    lam = _least_squares_multipliers(nlp.gradient(z), nlp.jacobian(z))
     assert lam.shape == (1,)
     assert lam[0] == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_estimate_multipliers_rejects_a_point_that_is_not_a_stack():
+    ocp, _ = example_problem()
+    mesh = build_mesh(0.0, 50.0, 4, 4)
+    nlp = transcribe(ocp, mesh)
+    calls = []
+    for name in ("gradient", "jacobian"):
+        hook = getattr(nlp, name)
+        setattr(nlp, name, lambda z, hook=hook: calls.append(z) or hook(z))
+    z = initial_guess(ocp, mesh)
+    for bad in (z, z[None, None], z[None, :-1]):
+        with pytest.raises(ValueError, match="shape"):
+            estimate_multipliers(nlp, bad)
+    assert calls == []
+    assert estimate_multipliers(nlp, z[None]).shape == (1, nlp.lower.size)
 
 
 def _full_row_rank(rng, m, n):
@@ -412,7 +430,7 @@ def test_hessian_seed_resolves_perturbed_example_quickly():
     assert sol.status == "converged"
     rng = np.random.default_rng(3)
     z = sol.z + 1e-5 * rng.standard_normal(sol.z.size)
-    lam = estimate_multipliers(nlp, z)
+    lam = estimate_multipliers(nlp, z[None])[0]
     hess = nlp.lagrangian_hessian(z, lam)
     warm = solve(nlp, z, hessian0=hess, multipliers0=lam)
     assert warm.status == "converged"

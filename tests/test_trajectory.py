@@ -271,10 +271,13 @@ def test_lane_samples_match_each_trajectory_bitwise(case, lanes, seed):
         assert x.tobytes() == plan.full_state_at(times).tobytes()
 
 
-def test_sensitivity_at_accepts_arrays_of_times():
-    # n = 2 states and m = 3 parameters: S is stored column-major after x
-    rng = np.random.default_rng(5)
-    n, m, orders = 2, 3, (3, 4)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_sensitivity_at_accepts_arrays_of_times(n, m, seed, fractions):
+    # n states and m parameters: S is stored column-major after x
+    rng = np.random.default_rng(seed)
+    orders = (3, 4)
     bounds = np.array([0.0, 1.0, 2.5])
     traj = Trajectory(
         t0=0.0, tf=2.5, interval_times=bounds, orders=orders,
@@ -282,7 +285,10 @@ def test_sensitivity_at_accepts_arrays_of_times():
                       for nk in orders],
         control_values=[rng.standard_normal((nk, 1)) for nk in orders],
         n_states=n, sens_shape=(n, m))
-    times = np.array([[0.0, 0.3, 1.0], [1.7, 2.2, 2.5]])
+    # random times, every node time and every bound, in two rows
+    times = np.concatenate([2.5 * np.asarray(fractions), bounds,
+                            *traj.state_times, *traj.control_times])
+    times = np.resize(times, (2, (times.size + 1) // 2))
     full = traj.full_state_at(times)
     S = traj.sensitivity_at(times)
     assert S.shape == times.shape + (n, m)
